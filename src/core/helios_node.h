@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "api/protocol.h"
+#include "common/key_ids.h"
 #include "common/object_pool.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -529,9 +530,11 @@ class HeliosNode {
   sim::ServiceQueue service_queue_;
 
   rdict::ReplicatedLog log_;
-  MvStore store_;
-  TxnPool pt_pool_;   ///< Local preparing transactions.
-  TxnPool ept_pool_;  ///< External (remote) preparing transactions.
+  /// Interns each key once for the store and both pools.
+  std::shared_ptr<KeyIds> keys_ = std::make_shared<KeyIds>();
+  MvStore store_{keys_};
+  TxnPool pt_pool_{keys_};   ///< Local preparing transactions.
+  TxnPool ept_pool_{keys_};  ///< External (remote) preparing transactions.
 
   /// Local preparing transactions by id, plus an index by q(t) so
   /// Algorithm 3 visits them oldest-first.

@@ -4,35 +4,45 @@
 
 namespace helios {
 
+size_t MvStore::Chain::Below(const Order& o) const {
+  auto before = [&](const VersionedValue& v) {
+    return Order{v.ts, v.writer} < o;
+  };
+  if (before(latest)) return older.size() + 1;
+  return static_cast<size_t>(
+      std::partition_point(older.begin(), older.end(), before) -
+      older.begin());
+}
+
+const MvStore::Chain* MvStore::Find(const Key& key) const {
+  const KeyId id = keys_->Find(key);
+  return id < chains_.size() && !chains_[id].empty ? &chains_[id] : nullptr;
+}
+
 Result<VersionedValue> MvStore::Read(const Key& key) const {
-  auto it = data_.find(key);
-  if (it == data_.end() || it->second.empty()) {
-    return Status::NotFound("key has no versions: " + key);
-  }
-  const auto& [vkey, value] = *it->second.rbegin();
-  return VersionedValue{value, vkey.first, vkey.second};
+  const Chain* chain = Find(key);
+  if (chain == nullptr) return Status::NotFound("key has no versions: " + key);
+  return chain->latest;
 }
 
 Result<VersionedValue> MvStore::ReadAt(const Key& key,
                                        Timestamp snapshot_ts) const {
-  auto it = data_.find(key);
-  if (it == data_.end() || it->second.empty()) {
-    return Status::NotFound("key has no versions: " + key);
-  }
-  const Chain& chain = it->second;
+  const Chain* chain = Find(key);
+  if (chain == nullptr) return Status::NotFound("key has no versions: " + key);
+  if (chain->latest.ts <= snapshot_ts) return chain->latest;
   // First version with ts > snapshot_ts; the predecessor is the answer.
-  auto upper = chain.upper_bound({snapshot_ts, TxnId{INT32_MAX, UINT64_MAX}});
-  if (upper == chain.begin()) {
+  auto upper = std::partition_point(
+      chain->older.begin(), chain->older.end(),
+      [&](const VersionedValue& v) { return v.ts <= snapshot_ts; });
+  if (upper == chain->older.begin()) {
     return Status::NotFound("no version at or before snapshot for: " + key);
   }
-  --upper;
-  return VersionedValue{upper->second, upper->first.first, upper->first.second};
+  return *--upper;
 }
 
 Timestamp MvStore::LatestVersionTs(const Key& key) const {
-  auto it = data_.find(key);
-  if (it == data_.end() || it->second.empty()) return kMinTimestamp;
-  return it->second.rbegin()->first.first;
+  const Chain* chain = Find(key);
+  return chain == nullptr ? kMinTimestamp : chain->latest.ts;
 }
 
 Timestamp MvStore::MaxVersionTsOf(const TxnBody& txn) const {
@@ -48,14 +58,29 @@ Timestamp MvStore::MaxVersionTsOf(const TxnBody& txn) const {
 
 void MvStore::ApplyWrite(const Key& key, const Value& value,
                          Timestamp commit_ts, TxnId writer) {
-  Chain& chain = data_[key];
-  auto [it, inserted] = chain.emplace(std::make_pair(commit_ts, writer), value);
-  (void)it;
-  if (inserted) {
-    ++version_count_;
-    if (chain.size() == 2) multi_version_chains_.insert(&chain);
-  }
   ++writes_applied_;
+  const KeyId id = keys_->Intern(key);
+  if (id >= chains_.size()) chains_.resize(id + 1);
+  Chain& chain = chains_[id];
+  VersionedValue v{value, commit_ts, writer};
+  if (chain.empty) {
+    chain = Chain{{}, std::move(v), false};
+    ++key_count_;
+  } else {
+    const size_t pos = chain.Below({commit_ts, writer});
+    if (pos <= chain.older.size() && chain.at(pos).ts == commit_ts &&
+        chain.at(pos).writer == writer) {
+      return;  // Re-applied (ts, writer): keep the installed version.
+    }
+    if (pos > chain.older.size()) {
+      chain.older.push_back(std::exchange(chain.latest, std::move(v)));
+    } else {
+      chain.older.insert(chain.older.begin() + static_cast<long>(pos),
+                         std::move(v));
+    }
+    if (pos <= 1) PushDue(id);  // The second-oldest version changed.
+  }
+  ++version_count_;
 }
 
 void MvStore::ApplyTxn(const TxnBody& txn, Timestamp commit_ts) {
@@ -66,34 +91,33 @@ void MvStore::ApplyTxn(const TxnBody& txn, Timestamp commit_ts) {
 
 void MvStore::ForEachLatest(
     const std::function<void(const Key&, const VersionedValue&)>& fn) const {
-  for (const auto& [key, chain] : data_) {
-    if (chain.empty()) continue;
-    const auto& [vkey, value] = *chain.rbegin();
-    fn(key, VersionedValue{value, vkey.first, vkey.second});
+  for (KeyId id = 0; id < chains_.size(); ++id) {
+    if (!chains_[id].empty) fn(keys_->Name(id), chains_[id].latest);
   }
 }
 
 size_t MvStore::TruncateVersionsBefore(Timestamp horizon) {
-  // Only chains that ever grew past one version can have anything to drop,
-  // so GC walks the multi-version registry instead of every key in the
-  // store (with preloaded key pools, single-version keys are the vast
-  // majority and a full scan dominated simulator profiles).
+  // Only a chain whose second-oldest version is below the horizon can
+  // lose versions, so pop just those. RunGc's 10 s lag leaves most recently
+  // written keys at two versions; visiting all of them on every tick would
+  // dominate simulator time.
+  const Order cut{horizon, TxnId{kInvalidDc, 0}};
   size_t dropped = 0;
-  for (auto it = multi_version_chains_.begin();
-       it != multi_version_chains_.end();) {
-    Chain& chain = **it;
+  while (!due_.empty() && due_.top().first < cut) {
+    const KeyId id = due_.top().second;
+    due_.pop();
+    Chain& chain = chains_[id];
     // Keep the newest version below the horizon (it is still the visible
     // version for snapshots at the horizon) and everything above.
-    auto cut = chain.lower_bound({horizon, TxnId{kInvalidDc, 0}});
-    if (cut != chain.begin()) {
-      --cut;  // newest version strictly below horizon: keep it.
-      dropped += static_cast<size_t>(std::distance(chain.begin(), cut));
-      chain.erase(chain.begin(), cut);
-    }
-    if (chain.size() <= 1) {
-      it = multi_version_chains_.erase(it);
+    const size_t below = chain.Below(cut);
+    if (below < 2) continue;  // Stale entry: nothing to drop.
+    chain.older.erase(chain.older.begin(),
+                      chain.older.begin() + static_cast<long>(below - 1));
+    dropped += below - 1;
+    if (chain.older.empty()) {
+      chain.older.shrink_to_fit();  // Back to one version: free the spill.
     } else {
-      ++it;
+      PushDue(id);
     }
   }
   version_count_ -= dropped;

@@ -18,11 +18,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <unordered_map>
-#include <unordered_set>
+#include <memory>
+#include <queue>
+#include <utility>
 #include <vector>
 
+#include "common/key_ids.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "txn/transaction.h"
@@ -39,7 +40,9 @@ struct VersionedValue {
 /// In-memory multi-version store.
 class MvStore {
  public:
-  MvStore() = default;
+  /// A node shares `keys` with its preparing pools.
+  explicit MvStore(std::shared_ptr<KeyIds> keys = std::make_shared<KeyIds>())
+      : keys_(std::move(keys)) {}
   MvStore(const MvStore&) = delete;
   MvStore& operator=(const MvStore&) = delete;
 
@@ -77,37 +80,47 @@ class MvStore {
   void ForEachLatest(
       const std::function<void(const Key&, const VersionedValue&)>& fn) const;
 
-  size_t key_count() const { return data_.size(); }
+  size_t key_count() const { return key_count_; }
   uint64_t version_count() const { return version_count_; }
   uint64_t writes_applied() const { return writes_applied_; }
 
   /// Drops every version and resets the counters — the amnesia half of a
   /// crash restart (recovery then replays the WAL journal back in).
   void Clear() {
-    multi_version_chains_.clear();
-    data_.clear();
+    chains_.clear();
+    due_ = {};
+    key_count_ = 0;
     version_count_ = 0;
     writes_applied_ = 0;
   }
 
  private:
-  // Version chain per key, ordered ascending by (ts, writer).
-  struct VersionKeyLess {
-    bool operator()(const std::pair<Timestamp, TxnId>& a,
-                    const std::pair<Timestamp, TxnId>& b) const {
-      if (a.first != b.first) return a.first < b.first;
-      return a.second < b.second;
+  using Order = std::pair<Timestamp, TxnId>;  ///< (ts, writer) of a version.
+  /// Versions of one key, ascending by Order. The newest sits inline, as
+  /// most keys hold just one.
+  struct Chain {
+    std::vector<VersionedValue> older;
+    VersionedValue latest;
+    bool empty = true;
+    const VersionedValue& at(size_t i) const {
+      return i < older.size() ? older[i] : latest;
     }
+    size_t Below(const Order& o) const;  ///< Versions ordered before `o`.
   };
-  using Chain = std::map<std::pair<Timestamp, TxnId>, Value, VersionKeyLess>;
+  const Chain* Find(const Key& key) const;
+  void PushDue(KeyId id) {
+    due_.push({{chains_[id].at(1).ts, chains_[id].at(1).writer}, id});
+  }
 
-  std::unordered_map<Key, Chain> data_;
-  /// Chains that currently hold more than one version — the only ones
-  /// TruncateVersionsBefore can shrink, so GC visits just these instead of
-  /// scanning the full key space. Pointers stay valid across data_
-  /// rehashes (node-based container; keys are never erased), and iteration
-  /// order does not affect results (per-chain truncation is independent).
-  std::unordered_set<Chain*> multi_version_chains_;
+  std::shared_ptr<KeyIds> keys_;
+  std::vector<Chain> chains_;  ///< By KeyId.
+  /// Min-queue of (second-oldest version, chain): a cut drops versions of a
+  /// chain only once that version is below the horizon. Every multi-version
+  /// chain has an entry at its current second-oldest; stale ones are
+  /// skipped when popped.
+  using Due = std::pair<Order, KeyId>;
+  std::priority_queue<Due, std::vector<Due>, std::greater<>> due_;
+  size_t key_count_ = 0;
   uint64_t version_count_ = 0;
   uint64_t writes_applied_ = 0;
 };

@@ -9,9 +9,11 @@
 #ifndef HELIOS_TXN_POOL_H_
 #define HELIOS_TXN_POOL_H_
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "common/key_ids.h"
 #include "common/types.h"
 #include "txn/transaction.h"
 
@@ -20,6 +22,10 @@ namespace helios {
 /// A set of preparing transactions with read/write key indexes.
 class TxnPool {
  public:
+  /// `keys` is shared with the node's store so each key is interned once.
+  explicit TxnPool(std::shared_ptr<KeyIds> keys = std::make_shared<KeyIds>())
+      : keys_(std::move(keys)) {}
+
   /// Adds `body`; no-op if a transaction with the same id is present.
   void Add(TxnBodyPtr body);
 
@@ -27,7 +33,10 @@ class TxnPool {
   bool Remove(const TxnId& id);
 
   bool Contains(const TxnId& id) const { return txns_.count(id) > 0; }
-  const TxnBodyPtr* Find(const TxnId& id) const;
+  const TxnBodyPtr* Find(const TxnId& id) const {
+    auto it = txns_.find(id);
+    return it == txns_.end() ? nullptr : &it->second.body;
+  }
   size_t size() const { return txns_.size(); }
   bool empty() const { return txns_.empty(); }
 
@@ -45,14 +54,30 @@ class TxnPool {
   std::vector<TxnBodyPtr> All() const;
 
  private:
-  void IndexKey(std::unordered_map<Key, std::vector<TxnId>>& index,
-                const Key& key, const TxnId& id);
-  void UnindexKey(std::unordered_map<Key, std::vector<TxnId>>& index,
-                  const Key& key, const TxnId& id);
+  /// An entry of a per-key list. Lists keep insertion order, which fixes
+  /// the order conflicts are reported in, and so the abort order.
+  struct Link {
+    TxnId txn;
+    bool write = false;  ///< Indexes a write, else a read.
+    uint32_t next = 0;   ///< Next link of the list (or free list); 0 ends.
+  };
+  /// A pooled transaction and the ids of its write keys, then read keys.
+  struct Entry {
+    TxnBodyPtr body;
+    std::vector<KeyId> keys;
+  };
+  void Index(KeyId key, const TxnId& id, bool write);
+  void Unindex(KeyId key, const TxnId& id, bool write);
+  /// Appends the `write` (else read) entries under `key` to `out`, skipping
+  /// `self` and transactions already there.
+  void Collect(KeyId key, bool write, const TxnId& self,
+               std::vector<TxnBodyPtr>& out) const;
 
-  std::unordered_map<TxnId, TxnBodyPtr, TxnIdHash> txns_;
-  std::unordered_map<Key, std::vector<TxnId>> writers_;
-  std::unordered_map<Key, std::vector<TxnId>> readers_;
+  std::shared_ptr<KeyIds> keys_;
+  std::unordered_map<TxnId, Entry, TxnIdHash> txns_;
+  std::vector<uint32_t> heads_;      ///< First link per KeyId.
+  std::vector<Link> links_{Link{}};  ///< links_[0] is a placeholder.
+  uint32_t free_ = 0;                ///< Freed links, reused before growing.
 };
 
 }  // namespace helios

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "store/lock_table.h"
 #include "store/mv_store.h"
 
@@ -99,6 +103,145 @@ TEST(MvStoreTest, TruncationNeverEmptiesAKey) {
   store.ApplyWrite("k", "v1", 10, Id(0, 1));
   EXPECT_EQ(store.TruncateVersionsBefore(1000), 0u);
   EXPECT_TRUE(store.Read("k").ok());
+}
+
+TEST(MvStoreTest, KeysInternedOnlyByAPoolStayAbsent) {
+  // A node's pools intern keys into the store's KeyIds before (or without)
+  // any write, which leaves empty chain slots behind.
+  auto keys = std::make_shared<KeyIds>();
+  keys->Intern("pooled-only");
+  MvStore store(keys);
+  store.ApplyWrite("k", "v1", 10, Id(0, 1));
+  keys->Intern("pooled-later");
+  store.ApplyWrite("k", "v2", 20, Id(0, 2));
+  EXPECT_FALSE(store.Read("pooled-only").ok());
+  EXPECT_FALSE(store.ReadAt("pooled-later", 100).ok());
+  EXPECT_EQ(store.LatestVersionTs("pooled-only"), kMinTimestamp);
+  EXPECT_EQ(store.key_count(), 1u);
+  std::vector<Key> visited;
+  store.ForEachLatest([&](const Key& key, const VersionedValue& v) {
+    visited.push_back(key);
+    EXPECT_EQ(v.value, "v2");
+  });
+  EXPECT_EQ(visited, std::vector<Key>{"k"});
+}
+
+// Naive reference for the GC exactness test: every version of every key in
+// a sorted vector, with truncation as a full scan.
+class ReferenceStore {
+ public:
+  void Apply(const Key& key, const Value& value, Timestamp ts, TxnId writer) {
+    std::vector<VersionedValue>& chain = chains_[key];
+    for (const VersionedValue& v : chain) {
+      if (v.ts == ts && v.writer == writer) return;  // Re-apply: no-op.
+    }
+    chain.push_back({value, ts, writer});
+    std::sort(chain.begin(), chain.end(), Older);
+  }
+  size_t Truncate(Timestamp horizon) {
+    const VersionedValue cut{"", horizon, TxnId{kInvalidDc, 0}};
+    size_t dropped = 0;
+    for (auto& [key, chain] : chains_) {
+      const size_t below = static_cast<size_t>(std::count_if(
+          chain.begin(), chain.end(),
+          [&](const VersionedValue& v) { return Older(v, cut); }));
+      if (below < 2) continue;
+      chain.erase(chain.begin(), chain.begin() + static_cast<long>(below - 1));
+      dropped += below - 1;
+    }
+    return dropped;
+  }
+  const VersionedValue* Latest(const Key& key) const {
+    auto it = chains_.find(key);
+    return it == chains_.end() ? nullptr : &it->second.back();
+  }
+  const VersionedValue* At(const Key& key, Timestamp snapshot) const {
+    auto it = chains_.find(key);
+    if (it == chains_.end()) return nullptr;
+    const VersionedValue* found = nullptr;
+    for (const VersionedValue& v : it->second) {
+      if (v.ts <= snapshot) found = &v;
+    }
+    return found;
+  }
+  uint64_t versions() const {
+    uint64_t n = 0;
+    for (const auto& [key, chain] : chains_) n += chain.size();
+    return n;
+  }
+  size_t keys() const { return chains_.size(); }
+  void Clear() { chains_.clear(); }
+
+ private:
+  static bool Older(const VersionedValue& a, const VersionedValue& b) {
+    return a.ts != b.ts ? a.ts < b.ts : a.writer < b.writer;
+  }
+  std::map<Key, std::vector<VersionedValue>> chains_;
+};
+
+void ExpectSame(const VersionedValue* want, const Result<VersionedValue>& got,
+                const std::string& where) {
+  ASSERT_EQ(want != nullptr, got.ok()) << where;
+  if (want == nullptr) return;
+  EXPECT_EQ(got.value().value, want->value) << where;
+  EXPECT_EQ(got.value().ts, want->ts) << where;
+  EXPECT_EQ(got.value().writer, want->writer) << where;
+}
+
+TEST(MvStoreTest, GcMatchesFullScanReference) {
+  // Out-of-order timestamps, ts ties broken by writer (including the
+  // loader's negative origin at the horizon boundary), duplicate
+  // re-applies, rising horizons and a Clear() midway; every read path and
+  // counter must match the naive model after every step.
+  constexpr int kSteps = 2000;
+  const std::vector<Key> keys = {"a", "b", "c", "d", "e", "f", "never"};
+  for (uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    MvStore store;
+    ReferenceStore ref;
+    std::vector<std::pair<Key, VersionedValue>> applied;
+    Timestamp horizon = -5;
+    for (int step = 0; step < kSteps; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const uint64_t op = rng.Uniform(100);
+      if (step == kSteps / 2) {
+        store.Clear();
+        ref.Clear();
+        applied.clear();
+      } else if (op < 60 || applied.empty()) {
+        const Key& key = keys[rng.Uniform(keys.size() - 1)];
+        const Timestamp ts = horizon + rng.UniformRange(-3, 12);
+        const TxnId writer{static_cast<DcId>(rng.UniformRange(-2, 2)),
+                           rng.Uniform(3)};
+        const Value value = "v" + std::to_string(step);
+        store.ApplyWrite(key, value, ts, writer);
+        ref.Apply(key, value, ts, writer);
+        applied.push_back({key, {value, ts, writer}});
+      } else if (op < 75) {
+        const auto& [key, v] = applied[rng.Uniform(applied.size())];
+        store.ApplyWrite(key, "dup", v.ts, v.writer);
+        ref.Apply(key, "dup", v.ts, v.writer);
+      } else {
+        horizon += rng.UniformRange(0, 3);
+        EXPECT_EQ(store.TruncateVersionsBefore(horizon), ref.Truncate(horizon))
+            << where;
+      }
+      EXPECT_EQ(store.version_count(), ref.versions()) << where;
+      EXPECT_EQ(store.key_count(), ref.keys()) << where;
+      for (const Key& key : keys) {
+        ExpectSame(ref.Latest(key), store.Read(key), where + " key " + key);
+        EXPECT_EQ(store.LatestVersionTs(key),
+                  ref.Latest(key) ? ref.Latest(key)->ts : kMinTimestamp)
+            << where;
+        for (Timestamp snap = horizon - 4; snap <= horizon + 13; snap += 3) {
+          ExpectSame(ref.At(key, snap), store.ReadAt(key, snap),
+                     where + " key " + key + " at " + std::to_string(snap));
+        }
+      }
+      if (HasFailure()) return;
+    }
+  }
 }
 
 // --- LockTable: no-wait policy ------------------------------------------------

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
 #include "txn/pool.h"
 #include "txn/transaction.h"
 
@@ -148,6 +153,101 @@ TEST(TxnPoolTest, BlindWriteConflictsDetected) {
   auto probe = RwTxn(1, 1, {}, {"x"});  // Another blind write.
   EXPECT_EQ(pool.ConflictingWriters(*probe).size(), 1u);
   EXPECT_EQ(pool.Victims(*probe).size(), 1u);
+}
+
+// Brute-force reference for the pool's result order: the probe's keys in
+// order, and under each key the pooled transactions in insertion order.
+std::vector<TxnId> ReferenceOrder(const std::vector<TxnBodyPtr>& pooled,
+                                  const TxnBody& probe, bool victims) {
+  std::vector<TxnId> out;
+  auto visit = [&](const Key& key, bool writers) {
+    for (const TxnBodyPtr& t : pooled) {
+      const bool hit = writers ? t->WritesKey(key) : t->ReadsKey(key);
+      if (hit && t->id != probe.id &&
+          std::find(out.begin(), out.end(), t->id) == out.end()) {
+        out.push_back(t->id);
+      }
+    }
+  };
+  if (victims) {
+    for (const WriteEntry& w : probe.write_set) {
+      visit(w.key, true);
+      visit(w.key, false);
+    }
+  } else {
+    for (const ReadEntry& r : probe.read_set) visit(r.key, true);
+    for (const WriteEntry& w : probe.write_set) visit(w.key, true);
+  }
+  return out;
+}
+
+std::vector<TxnId> Ids(const std::vector<TxnBodyPtr>& bodies) {
+  std::vector<TxnId> ids;
+  for (const TxnBodyPtr& b : bodies) ids.push_back(b->id);
+  return ids;
+}
+
+TEST(TxnPoolTest, ResultOrderMatchesBruteForce) {
+  // The abort order, and through it the event schedule, follows the order
+  // ConflictingWriters and Victims report; pin it over random Add/Remove.
+  const std::vector<Key> keys = {"k0", "k1", "k2", "k3", "k4", "k5", "k6"};
+  Rng rng(11);
+  auto random_body = [&](uint64_t seq) {
+    std::vector<Key> reads;
+    for (uint64_t i = rng.Uniform(4); i > 0; --i) {
+      reads.push_back(keys[rng.Uniform(keys.size())]);  // May repeat.
+    }
+    std::vector<Key> writes;
+    for (uint64_t i = rng.Uniform(4); i > 0; --i) {
+      const Key& k = keys[rng.Uniform(keys.size())];
+      if (std::find(writes.begin(), writes.end(), k) == writes.end()) {
+        writes.push_back(k);
+      }
+    }
+    return RwTxn(static_cast<DcId>(rng.Uniform(3)), seq, reads, writes);
+  };
+  TxnPool pool;
+  std::vector<TxnBodyPtr> pooled;  // Insertion order.
+  std::vector<TxnBodyPtr> seen;
+  for (uint64_t step = 1; step <= 1500; ++step) {
+    const uint64_t op = rng.Uniform(10);
+    if ((op < 4 && pooled.size() < 24) || seen.empty()) {
+      TxnBodyPtr t = random_body(step);
+      seen.push_back(t);
+      pool.Add(t);
+      pooled.push_back(t);
+    } else if (op < 5) {
+      const TxnBodyPtr& t = seen[rng.Uniform(seen.size())];  // Re-add.
+      const bool present = pool.Contains(t->id);
+      pool.Add(t);
+      if (!present) pooled.push_back(t);
+    } else if (op < 9) {
+      // Mostly pooled transactions; sometimes one already removed.
+      const TxnBodyPtr t = op < 8 && !pooled.empty()
+                               ? pooled[rng.Uniform(pooled.size())]
+                               : seen[rng.Uniform(seen.size())];
+      auto it = std::find(pooled.begin(), pooled.end(), t);
+      EXPECT_EQ(pool.Remove(t->id), it != pooled.end());
+      if (it != pooled.end()) pooled.erase(it);
+    }
+    // Probe with a fresh body or with a pooled one (self is excluded).
+    const TxnBodyPtr probe = rng.Bernoulli(0.3) && !pooled.empty()
+                                 ? pooled[rng.Uniform(pooled.size())]
+                                 : random_body(100000 + step);
+    const std::vector<TxnId> writers = Ids(pool.ConflictingWriters(*probe));
+    const std::vector<TxnId> victims = Ids(pool.Victims(*probe));
+    ASSERT_EQ(writers, ReferenceOrder(pooled, *probe, false)) << step;
+    ASSERT_EQ(victims, ReferenceOrder(pooled, *probe, true)) << step;
+    // Same sets as the plain conflict predicates.
+    for (const TxnBodyPtr& t : pooled) {
+      if (t->id == probe->id) continue;
+      EXPECT_EQ(ConflictsWithWritesOf(*probe, *t),
+                std::count(writers.begin(), writers.end(), t->id) == 1);
+      EXPECT_EQ(ConflictsWithWritesOf(*t, *probe),
+                std::count(victims.begin(), victims.end(), t->id) == 1);
+    }
+    ASSERT_EQ(pool.size(), pooled.size());
+  }
 }
 
 }  // namespace
