@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the library:
-// replicated-log append/partial-log/ingest, timetable merge, MVCC store
-// reads/writes, conflict checks against the preparing pools, lock table
-// operations, and the MAO simplex solve.
+// replicated-log append/partial-log/ingest (also against a crashed peer's
+// backlog), timetable merge, MVCC store reads/writes, conflict checks
+// against the preparing pools, lock table operations, and the MAO simplex
+// solve.
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <vector>
 
 #include "common/random.h"
@@ -82,6 +84,82 @@ void BM_RdictExchangeRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * records);
 }
 BENCHMARK(BM_RdictExchangeRoundTrip)->Arg(16)->Arg(256)->Arg(2048);
+
+// The sim-xshard-faults crash backlog: 5 DCs gossip every 10 ms for 6 s
+// while DC 4 is down, so each live log holds about 4,000 records (170 per
+// live DC per second) that it cannot garbage-collect, and its timetable
+// row for DC 4 is 6 s stale. `straggler` is DC 4's log had it kept up
+// until the last 1% of that time.
+struct LaggingPeerLogs {
+  std::vector<rdict::ReplicatedLog> logs;
+  rdict::ReplicatedLog straggler{4, 5};
+};
+
+const LaggingPeerLogs& Lagging() {
+  static const LaggingPeerLogs* const built = [] {
+    constexpr int kDcs = 5;
+    constexpr int kLive = 4;
+    constexpr int kRounds = 600;  // 6 s of 10 ms log intervals.
+    constexpr int kPerSecond = 170;
+    auto* out = new LaggingPeerLogs;
+    for (DcId dc = 0; dc < kDcs; ++dc) out->logs.emplace_back(dc, kDcs);
+    Rng rng(12);
+    uint64_t seq = 1;
+    for (int round = 0; round < kRounds; ++round) {
+      const Timestamp now = Millis(10) * (round + 1);
+      const int due = (round + 1) * kPerSecond / 100 - round * kPerSecond / 100;
+      for (DcId dc = 0; dc < kLive; ++dc) {
+        for (int i = 0; i < due; ++i) {
+          rdict::LogRecord rec;
+          rec.type = rdict::RecordType::kPreparing;
+          rec.ts = now + i * kLive + dc;
+          rec.origin = dc;
+          rec.body = MakeBody(dc, seq++, 5, rng, 50000);
+          (void)out->logs[dc].AppendLocal(rec);
+        }
+        out->logs[dc].AdvanceOwnClock(now + Millis(10) - 1);
+      }
+      for (DcId from = 0; from < kLive; ++from) {
+        for (DcId to = 0; to < kLive; ++to) {
+          if (from == to) continue;
+          out->logs[to].Ingest(out->logs[from].BuildMessageFor(to));
+        }
+      }
+      if (round + 1 == kRounds * 99 / 100) {
+        out->straggler.Ingest(out->logs[0].BuildMessageFor(4));
+      }
+    }
+    return out;
+  }();
+  return *built;
+}
+
+void BM_RdictBuildLaggingPeer(benchmark::State& state) {
+  const rdict::ReplicatedLog& log = Lagging().logs[0];
+  rdict::LogMessage msg(log.size());
+  for (auto _ : state) {
+    log.BuildMessageInto(4, &msg);
+    benchmark::DoNotOptimize(msg);
+  }
+  state.counters["records"] = static_cast<double>(msg.records.size());
+}
+BENCHMARK(BM_RdictBuildLaggingPeer)->Unit(benchmark::kMicrosecond);
+
+void BM_RdictIngestMostlyKnown(benchmark::State& state) {
+  const rdict::LogMessage msg = Lagging().logs[0].BuildMessageFor(4);
+  std::optional<rdict::ReplicatedLog> peer;
+  size_t fresh = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    peer.emplace(Lagging().straggler);
+    state.ResumeTiming();
+    fresh = peer->Ingest(msg).size();
+    benchmark::DoNotOptimize(fresh);
+  }
+  state.counters["records"] = static_cast<double>(msg.records.size());
+  state.counters["fresh"] = static_cast<double>(fresh);
+}
+BENCHMARK(BM_RdictIngestMostlyKnown)->Unit(benchmark::kMicrosecond);
 
 void BM_TimetableMerge(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -98,12 +98,8 @@ core::Envelope MakeCorpusEnvelope(int n, int records, uint64_t salt) {
       rec.committed = true;
       rec.version_ts = rec.ts + 5;
     }
-    env.log.records.push_back(std::move(rec));
+    env.log.records.push_back(std::move(rec));  // ts ascends: RecordOrder.
   }
-  std::sort(env.log.records.begin(), env.log.records.end(),
-            [](const rdict::LogRecord& a, const rdict::LogRecord& b) {
-              return rdict::RecordOrder()(a, b);
-            });
   env.refusals.push_back(
       core::Refusal{1, TxnId{1, salt}, static_cast<Timestamp>(2000000)});
   env.ping_id = static_cast<uint32_t>(salt + 1);
@@ -323,11 +319,12 @@ void BenchWal(int entries, hns::PerfReport* report) {
     std::fprintf(stderr, "wal bench: %s\n", s.ToString().c_str());
     std::exit(cli::kExitFailure);
   }
-  const core::Envelope corpus = MakeCorpusEnvelope(5, 32, 7);
+  const std::vector<rdict::LogRecord> corpus =
+      MakeCorpusEnvelope(5, 32, 7).log.records.ToVector();
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < entries; ++i) {
     const rdict::LogRecord& rec =
-        corpus.log.records[static_cast<size_t>(i) % corpus.log.records.size()];
+        corpus[static_cast<size_t>(i) % corpus.size()];
     if (const Status s = writer.AppendRecord(rec); !s.ok()) {
       std::fprintf(stderr, "wal bench: %s\n", s.ToString().c_str());
       std::exit(cli::kExitFailure);

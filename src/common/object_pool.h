@@ -9,6 +9,9 @@
 // holds a weak reference to the pool's free list: if the pool is gone by
 // the time the last handle drops, the object is simply deleted.
 //
+// A type with a `ResetForReuse()` member is reset when released, so an
+// idle object holds no references it no longer needs.
+//
 // Not thread-safe: the simulator is single-threaded and the live path
 // acquires/releases on its event-loop thread.
 
@@ -34,9 +37,9 @@ class ObjectPool {
   ObjectPool& operator=(const ObjectPool&) = delete;
 
   /// Returns a recycled object if one is idle, else constructs a new one
-  /// from `args`. Recycled objects keep whatever state they were released
-  /// with (that is the point — retained vector capacity), so callers must
-  /// reset the fields they care about.
+  /// from `args`. Recycled objects keep the state they were released with,
+  /// after ResetForReuse() if T has one (that is the point — retained
+  /// vector capacity), so callers must reset the fields they care about.
   template <typename... Args>
   std::shared_ptr<T> Acquire(Args&&... args) {
     T* raw = nullptr;
@@ -51,6 +54,7 @@ class ObjectPool {
     std::weak_ptr<State> weak = state_;
     return std::shared_ptr<T>(raw, [weak](T* p) {
       if (auto s = weak.lock(); s && s->alive) {
+        if constexpr (requires { p->ResetForReuse(); }) p->ResetForReuse();
         s->free.emplace_back(p);
       } else {
         delete p;

@@ -93,11 +93,12 @@ struct Envelope {
 
   explicit Envelope(int n) : log(n) {}
 
-  /// Returns a recycled envelope (common::ObjectPool) to a blank gossip
-  /// state while keeping every vector's capacity — the reuse contract of
-  /// the pooled send path. The timetable is left as-is; builders
-  /// overwrite it (same cluster size, so that assignment is also
-  /// allocation-free).
+  /// Returns an envelope to a blank gossip state while keeping every
+  /// vector's capacity — the reuse contract of the pooled send path.
+  /// common::ObjectPool calls it when the last handle drops, so an idle
+  /// pooled envelope holds no log chunk (and hence no record or body). The
+  /// timetable is left as-is; builders overwrite it (same cluster size, so
+  /// that assignment is also allocation-free).
   void ResetForReuse() {
     log.from = kInvalidDc;
     log.records.clear();

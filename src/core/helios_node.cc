@@ -490,9 +490,8 @@ bool HeliosNode::AdmitPreparing(const TxnId& id, const TxnBodyPtr& body,
 // --- Algorithm 2: log processing ---------------------------------------------
 
 std::shared_ptr<Envelope> HeliosNode::AcquireEnvelope() {
-  auto env = envelope_pool_.Acquire(config_.num_datacenters);
-  env->ResetForReuse();
-  return env;
+  // Released envelopes are reset by the pool, so this one is blank.
+  return envelope_pool_.Acquire(config_.num_datacenters);
 }
 
 void HeliosNode::ProcessEnvelope(const Envelope& env) {
@@ -570,7 +569,7 @@ void HeliosNode::ProcessEnvelope(const Envelope& env) {
         if (refuse) {
           RefusalState& state = refusals_[rec.body->id];
           state.txn_ts = rec.ts;
-          if (state.refusers.insert(id_).second) {
+          if (state.AddRefuser(id_)) {
             ++counters_.refusals_issued;
             if (by_suspicion) ++counters_.suspicion_refusals;
           }
@@ -705,10 +704,10 @@ bool HeliosNode::AckQuorumSatisfied(const PendingTxn& t, bool* doomed) const {
   if (f <= 0) return true;
 
   const auto refusal_it = refusals_.find(t.body->id);
-  const std::set<DcId>* refusers =
-      refusal_it == refusals_.end() ? nullptr : &refusal_it->second.refusers;
-  if (refusers != nullptr &&
-      static_cast<int>(refusers->size()) > (n - 1) - f) {
+  const RefusalState* refusal =
+      refusal_it == refusals_.end() ? nullptr : &refusal_it->second;
+  if (refusal != nullptr &&
+      static_cast<int>(refusal->refusers.size()) > (n - 1) - f) {
     // Too many peers refused within the grace time: the f-acknowledgment
     // quorum can never form; the transaction is invalidated.
     *doomed = true;
@@ -717,7 +716,7 @@ bool HeliosNode::AckQuorumSatisfied(const PendingTxn& t, bool* doomed) const {
   int acks = 0;
   for (DcId c = 0; c < n; ++c) {
     if (c == id_) continue;
-    if (refusers != nullptr && refusers->count(c) > 0) continue;
+    if (refusal != nullptr && refusal->Refused(c)) continue;
     // Rule 3 condition (2): C has received our log up to q(t). Condition
     // (3) — receipt within the grace time — is enforced by C itself, which
     // gossips a refusal instead of counting as an acknowledger.
@@ -1108,12 +1107,22 @@ void HeliosNode::RunGc() {
 }
 
 void HeliosNode::MergeRefusals(const std::vector<Refusal>& refusals) {
+  // Peers' snapshots list refusals in txn order, so one forward walk over
+  // refusals_ finds every slot; a refusal out of that order restarts it.
+  auto it = refusals_.begin();
   for (const Refusal& r : refusals) {
     // Only track refusals that can still matter: our own pending
     // transactions or remote transactions we have not seen finish.
-    RefusalState& state = refusals_[r.txn];
+    if (it != refusals_.end() && r.txn < it->first) {
+      it = refusals_.lower_bound(r.txn);
+    }
+    while (it != refusals_.end() && it->first < r.txn) ++it;
+    if (it == refusals_.end() || r.txn < it->first) {
+      it = refusals_.emplace_hint(it, r.txn, RefusalState{});
+    }
+    RefusalState& state = it->second;
     state.txn_ts = std::max(state.txn_ts, r.txn_ts);
-    state.refusers.insert(r.refuser);
+    state.AddRefuser(r.refuser);
   }
 }
 
@@ -1155,7 +1164,7 @@ void HeliosNode::OnSuspicionOnset(DcId peer) {
     if (ts_it == ept_prepare_ts_.end()) continue;
     RefusalState& state = refusals_[body->id];
     state.txn_ts = ts_it->second;
-    if (state.refusers.insert(id_).second) {
+    if (state.AddRefuser(id_)) {
       ++counters_.refusals_issued;
       ++counters_.suspicion_refusals;
     }

@@ -18,6 +18,7 @@
 #ifndef HELIOS_CORE_HELIOS_NODE_H_
 #define HELIOS_CORE_HELIOS_NODE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -544,7 +545,20 @@ class HeliosNode {
   /// Datacenters known to have refused to acknowledge a transaction.
   struct RefusalState {
     Timestamp txn_ts = kMinTimestamp;
-    std::set<DcId> refusers;
+    /// Ascending, without duplicates. At most one entry per datacenter, so
+    /// a sorted vector is cheaper than a tree node per refusal.
+    std::vector<DcId> refusers;
+
+    /// Adds `dc`; returns false if it had already refused.
+    bool AddRefuser(DcId dc) {
+      const auto at = std::lower_bound(refusers.begin(), refusers.end(), dc);
+      if (at != refusers.end() && *at == dc) return false;
+      refusers.insert(at, dc);
+      return true;
+    }
+    bool Refused(DcId dc) const {
+      return std::binary_search(refusers.begin(), refusers.end(), dc);
+    }
   };
   std::map<TxnId, RefusalState> refusals_;
 

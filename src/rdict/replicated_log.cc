@@ -18,16 +18,8 @@ std::string LogRecord::ToString() const {
 }
 
 ReplicatedLog::ReplicatedLog(DcId self, int n)
-    : self_(self), n_(n), table_(n), by_origin_(static_cast<size_t>(n)) {
+    : self_(self), n_(n), table_(n), log_(n) {
   assert(self >= 0 && self < n);
-}
-
-bool ReplicatedLog::InsertRecord(const LogRecord& rec) {
-  const auto [it, inserted] =
-      by_origin_[static_cast<size_t>(rec.origin)].emplace(rec.ts, rec);
-  (void)it;
-  if (inserted) ++live_count_;
-  return inserted;
 }
 
 Status ReplicatedLog::AppendLocal(const LogRecord& rec) {
@@ -38,29 +30,10 @@ Status ReplicatedLog::AppendLocal(const LogRecord& rec) {
     return Status::InvalidArgument(
         "record timestamps must be strictly increasing per origin");
   }
-  InsertRecord(rec);
+  log_.push_back(rec);
   table_.Set(self_, self_, rec.ts);
   ++total_appended_;
   return Status::Ok();
-}
-
-void ReplicatedLog::MergeSuffixes(
-    const std::vector<OriginLog::const_iterator>& from,
-    std::vector<LogRecord>* out) const {
-  // K-way merge by (ts, origin) — k = cluster size, so linear selection
-  // per emitted record beats a heap for realistic n. Origin index order
-  // breaks timestamp ties, matching RecordOrder.
-  std::vector<OriginLog::const_iterator> cursor = from;
-  for (;;) {
-    int best = -1;
-    for (DcId o = 0; o < n_; ++o) {
-      if (cursor[o] == by_origin_[static_cast<size_t>(o)].end()) continue;
-      if (best < 0 || cursor[o]->first < cursor[best]->first) best = o;
-    }
-    if (best < 0) return;
-    out->push_back(cursor[best]->second);
-    ++cursor[best];
-  }
 }
 
 void ReplicatedLog::BuildMessageInto(DcId peer, LogMessage* out) const {
@@ -69,12 +42,9 @@ void ReplicatedLog::BuildMessageInto(DcId peer, LogMessage* out) const {
   out->records.clear();
   // Per origin, the timetable proves `peer` has everything with
   // ts <= T[peer][origin]; only the suffix above that bound is sent.
-  std::vector<OriginLog::const_iterator> from(static_cast<size_t>(n_));
   for (DcId origin = 0; origin < n_; ++origin) {
-    from[origin] = by_origin_[static_cast<size_t>(origin)].upper_bound(
-        table_.Get(peer, origin));
+    out->records.ShareSuffix(log_, origin, table_.Get(peer, origin));
   }
-  MergeSuffixes(from, &out->records);
 }
 
 LogMessage ReplicatedLog::BuildMessageFor(DcId peer) const {
@@ -84,12 +54,15 @@ LogMessage ReplicatedLog::BuildMessageFor(DcId peer) const {
 }
 
 std::vector<LogRecord> ReplicatedLog::Ingest(const LogMessage& msg) {
+  assert(msg.records.origins() <= n_);
   std::vector<LogRecord> fresh;
-  for (const LogRecord& rec : msg.records) {
-    if (table_.HasRecord(self_, rec.origin, rec.ts)) continue;  // Duplicate.
-    InsertRecord(rec);
-    fresh.push_back(rec);
-  }
+  // Records at or below T[self][origin] are duplicates.
+  msg.records.ForEachAfter(
+      [this](DcId origin) { return table_.Get(self_, origin); },
+      [this, &fresh](const LogRecord& rec) {
+        log_.push_back(rec);
+        fresh.push_back(rec);
+      });
   // Note: the timetable merge below absorbs the sender's row, which covers
   // all records in the message; per-record Advance is not needed.
   table_.MergeFrom(msg.table, self_, msg.from);
@@ -97,13 +70,10 @@ std::vector<LogRecord> ReplicatedLog::Ingest(const LogMessage& msg) {
 }
 
 void ReplicatedLog::RestoreRecord(const LogRecord& rec) {
-  if (table_.HasRecord(self_, rec.origin, rec.ts)) {
-    // Knowledge already covers it; keep the record itself if missing (it
-    // may still need retransmission to peers).
-    InsertRecord(rec);
-    return;
-  }
-  InsertRecord(rec);
+  // Keep the record even when knowledge already covers it (it may still
+  // need retransmission to peers).
+  log_.Insert(rec);
+  if (table_.HasRecord(self_, rec.origin, rec.ts)) return;
   table_.Advance(self_, rec.origin, rec.ts);
   if (rec.origin == self_) ++total_appended_;
 }
@@ -117,30 +87,17 @@ void ReplicatedLog::RestoreTimetable(const Timetable& table) {
 }
 
 size_t ReplicatedLog::GarbageCollect() {
-  size_t dropped = 0;
-  // Everything at or below MinColumn(origin) is known everywhere: erase
+  // Everything at or below MinColumn(origin) is known everywhere: drop
   // the per-origin prefix.
+  size_t dropped = 0;
   for (DcId origin = 0; origin < n_; ++origin) {
-    OriginLog& log = by_origin_[static_cast<size_t>(origin)];
-    const auto end = log.upper_bound(table_.MinColumn(origin));
-    for (auto it = log.begin(); it != end;) {
-      it = log.erase(it);
-      ++dropped;
-    }
+    dropped += log_.DropPrefix(origin, table_.MinColumn(origin));
   }
-  live_count_ -= dropped;
   return dropped;
 }
 
 std::vector<LogRecord> ReplicatedLog::Snapshot() const {
-  std::vector<LogRecord> out;
-  out.reserve(live_count_);
-  std::vector<OriginLog::const_iterator> from(static_cast<size_t>(n_));
-  for (DcId origin = 0; origin < n_; ++origin) {
-    from[origin] = by_origin_[static_cast<size_t>(origin)].begin();
-  }
-  MergeSuffixes(from, &out);
-  return out;
+  return log_.ToVector();
 }
 
 }  // namespace helios::rdict

@@ -9,24 +9,23 @@
 // ones) and the timetable. Records known by every datacenter can be
 // garbage-collected.
 //
-// Storage is one ordered map per origin, keyed by timestamp. Because the
-// timetable bounds what a peer has *per origin* (T[peer][origin] >= ts),
-// building a partial log is an upper_bound per origin plus a k-way merge
-// of the suffixes — proportional to the records actually sent, not to
-// every live record. Garbage collection is likewise a prefix erase per
-// origin. The merge emits records in ascending (ts, origin) order, the
-// exact order the old single-map representation produced.
+// Storage is a ChunkedLog: per origin, ts-ascending runs of immutable,
+// shared record chunks. Because the timetable bounds what a peer has *per
+// origin* (T[peer][origin] >= ts), a partial log is, per origin, a
+// reference to the suffix above that bound: building one shares chunks and
+// copies no record. Garbage collection drops a per-origin prefix. Records
+// are merged into ascending (ts, origin) order only where a message is
+// consumed (Ingest, the wire encoder).
 
 #ifndef HELIOS_RDICT_REPLICATED_LOG_H_
 #define HELIOS_RDICT_REPLICATED_LOG_H_
 
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
+#include "rdict/chunked_log.h"
 #include "rdict/record.h"
 #include "rdict/timetable.h"
 
@@ -36,9 +35,10 @@ namespace helios::rdict {
 struct LogMessage {
   DcId from = kInvalidDc;
   Timetable table;
-  std::vector<LogRecord> records;  ///< Sorted by RecordOrder.
+  /// Iterated in RecordOrder; usually chunks shared with the sender's log.
+  ChunkedLog records;
 
-  explicit LogMessage(int n) : table(n) {}
+  explicit LogMessage(int n) : table(n), records(n) {}
 };
 
 /// One datacenter's view of the replicated log.
@@ -67,14 +67,14 @@ class ReplicatedLog {
   LogMessage BuildMessageFor(DcId peer) const;
 
   /// Reuse form of BuildMessageFor: fills `out` in place, keeping its
-  /// vector capacities, so a pooled message/envelope costs no allocation
-  /// in steady state. `out` must have been constructed for this cluster
-  /// size.
+  /// capacities, so a pooled message/envelope costs no allocation in
+  /// steady state. `out` must have been constructed for this cluster size.
   void BuildMessageInto(DcId peer, LogMessage* out) const;
 
   /// Ingests a message. Returns the records this datacenter had not seen
   /// before, in RecordOrder, after merging the timetable. Records the
-  /// timetable already covers are ignored (duplicate delivery is harmless).
+  /// timetable already covers are skipped by a binary search per origin
+  /// (duplicate delivery is harmless).
   std::vector<LogRecord> Ingest(const LogMessage& msg);
 
   /// Recovery: re-inserts a record persisted before a restart (any
@@ -90,7 +90,7 @@ class ReplicatedLog {
   size_t GarbageCollect();
 
   /// Records currently retained (pre-GC).
-  size_t live_records() const { return live_count_; }
+  size_t live_records() const { return log_.size(); }
   uint64_t total_appended() const { return total_appended_; }
 
   /// Direct-knowledge convenience: T[self][origin].
@@ -100,22 +100,12 @@ class ReplicatedLog {
   std::vector<LogRecord> Snapshot() const;
 
  private:
-  using OriginLog = std::map<Timestamp, LogRecord>;
-
-  /// Appends every record from per-origin suffixes starting at `from[o]`
-  /// to `out` in ascending (ts, origin) order.
-  void MergeSuffixes(const std::vector<OriginLog::const_iterator>& from,
-                     std::vector<LogRecord>* out) const;
-
-  /// Inserts unless a record with that (origin, ts) already exists.
-  /// Returns whether it inserted.
-  bool InsertRecord(const LogRecord& rec);
-
   DcId self_;
   int n_;
   Timetable table_;
-  std::vector<OriginLog> by_origin_;
-  size_t live_count_ = 0;
+  /// Every retained record of origin o has ts <= T[self][o], so Ingest,
+  /// which admits only ts above that, always appends.
+  ChunkedLog log_;
   uint64_t total_appended_ = 0;
 };
 

@@ -153,9 +153,8 @@ void EncodeLogMessage(const rdict::LogMessage& msg, Writer* w) {
   w->PutSignedVarint(msg.from);
   EncodeTimetable(msg.table, w);
   w->PutVarint(msg.records.size());
-  for (const rdict::LogRecord& rec : msg.records) {
-    EncodeLogRecord(rec, w);
-  }
+  msg.records.ForEach(
+      [w](const rdict::LogRecord& rec) { EncodeLogRecord(rec, w); });
 }
 
 Status DecodeLogMessage(Decoder* dec, rdict::LogMessage* out) {
@@ -172,11 +171,16 @@ Status DecodeLogMessage(Decoder* dec, rdict::LogMessage* out) {
   rdict::LogMessage msg(table.size());
   msg.from = static_cast<DcId>(from);
   msg.table = table;
-  msg.records.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     rdict::LogRecord rec;
     s = DecodeLogRecord(dec, &rec);
     if (!s.ok()) return s;
+    if (rec.origin < 0 || rec.origin >= table.size()) {
+      return Status::InvalidArgument("record origin out of range");
+    }
+    if (rec.ts <= msg.records.LastTs(rec.origin)) {
+      return Status::InvalidArgument("records out of order");
+    }
     msg.records.push_back(std::move(rec));
   }
   *out = std::move(msg);
@@ -215,11 +219,9 @@ void EncodeEnvelope(const core::Envelope& env, Writer* w) {
 }
 
 Status DecodeEnvelope(Decoder* dec, core::Envelope* out) {
-  rdict::LogMessage msg(1);
-  Status s = DecodeLogMessage(dec, &msg);
+  core::Envelope env(1);  // DecodeLogMessage sizes the log.
+  Status s = DecodeLogMessage(dec, &env.log);
   if (!s.ok()) return s;
-  core::Envelope env(msg.table.size());
-  env.log = std::move(msg);
   uint64_t refusals = 0;
   s = dec->GetVarint(&refusals);
   if (!s.ok()) return s;

@@ -12,6 +12,8 @@
 
 #include "common/object_pool.h"
 #include "core/envelope.h"
+#include "rdict/replicated_log.h"
+#include "txn/transaction.h"
 
 namespace helios::common {
 namespace {
@@ -94,6 +96,32 @@ TEST(ObjectPoolTest, PooledEnvelopeResetKeepsCapacity) {
   EXPECT_EQ(env->kind, core::EnvelopeKind::kGossip);
   EXPECT_GE(refusal_capacity, 8u);
   EXPECT_EQ(env->refusals.capacity(), refusal_capacity);
+}
+
+TEST(ObjectPoolTest, IdlePooledEnvelopePinsNoLogChunk) {
+  // Release resets a pooled envelope, so the log chunks (and the bodies
+  // they hold) its partial log shared do not outlive the send.
+  ObjectPool<core::Envelope> pool;
+  rdict::ReplicatedLog log(0, 2);
+  rdict::LogRecord rec;
+  rec.ts = 10;
+  rec.origin = 0;
+  rec.body = MakeTxnBody(TxnId{0, 1}, {}, {{"k", "v"}});
+  ASSERT_TRUE(log.AppendLocal(rec).ok());
+  {
+    std::shared_ptr<core::Envelope> env = pool.Acquire(2);
+    log.BuildMessageInto(1, &env->log);
+    ASSERT_EQ(env->log.records.size(), 1u);
+  }
+  ASSERT_EQ(pool.idle(), 1u);
+  EXPECT_TRUE(pool.Acquire(2)->log.records.empty());
+  // Once the log drops the record too, only the test holds the body.
+  rdict::LogMessage everything(2);
+  everything.from = 1;
+  everything.table.Set(1, 0, 10);
+  log.Ingest(everything);
+  EXPECT_EQ(log.GarbageCollect(), 1u);
+  EXPECT_EQ(rec.body.use_count(), 1);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -166,10 +167,18 @@ std::vector<core::Envelope> CorpusEnvelopes() {
                                   : rdict::RecordType::kFinished;
       rec.ts = static_cast<Timestamp>(1000 * i + rec_i);
       rec.origin = env.log.from;
+      // Distinct keys: MakeTxnBody rejects duplicate write keys.
+      std::vector<std::string> keys;
+      while (keys.size() < 3) {
+        std::string key = "user" + std::to_string(rng.Uniform(500));
+        if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+          keys.push_back(std::move(key));
+        }
+      }
       std::vector<ReadEntry> reads;
       std::vector<WriteEntry> writes;
       for (int j = 0; j < 3; ++j) {
-        const std::string key = "user" + std::to_string(rng.Uniform(500));
+        const std::string& key = keys[static_cast<size_t>(j)];
         reads.push_back({key, static_cast<Timestamp>(rng.Uniform(1 << 20)),
                          TxnId{static_cast<DcId>(j % 4), rng.Uniform(100)}});
         writes.push_back({key, std::string(1 + rng.Uniform(40), 'v')});

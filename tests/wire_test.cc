@@ -231,10 +231,42 @@ TEST(SerializationTest, EnvelopeRoundTrip) {
   EXPECT_EQ(out.log.from, 2);
   EXPECT_EQ(out.log.table, env.log.table);
   ASSERT_EQ(out.log.records.size(), 1u);
-  EXPECT_EQ(out.log.records[0].ts, 555);
+  EXPECT_EQ(out.log.records.ToVector()[0].ts, 555);
   ASSERT_EQ(out.refusals.size(), 1u);
   EXPECT_EQ(out.refusals[0], env.refusals[0]);
   EXPECT_TRUE(dec.exhausted());
+}
+
+// Decoded records feed per-origin log chunks, so each origin's records
+// must arrive ts-ascending and every origin must be one the timetable
+// covers.
+TEST(SerializationTest, DecodeRejectsMisorderedOrForeignRecords) {
+  rdict::LogRecord early;
+  early.ts = 10;
+  early.origin = 1;
+  early.body = SampleBody();
+  rdict::LogRecord late = early;
+  late.ts = 20;
+  rdict::LogRecord foreign = late;
+  foreign.origin = 2;
+  rdict::LogRecord other_origin = early;
+  other_origin.origin = 0;
+  const auto decode = [](const std::vector<rdict::LogRecord>& records) {
+    Encoder enc;
+    enc.PutSignedVarint(0);
+    EncodeTimetable(rdict::Timetable(2), &enc);
+    enc.PutVarint(records.size());
+    for (const rdict::LogRecord& rec : records) EncodeLogRecord(rec, &enc);
+    Decoder dec(enc.bytes());
+    rdict::LogMessage out(1);
+    return DecodeLogMessage(&dec, &out);
+  };
+  EXPECT_TRUE(decode({early, late}).ok());
+  // Another origin may come in any order relative to origin 1.
+  EXPECT_TRUE(decode({late, other_origin}).ok());
+  EXPECT_FALSE(decode({late, early}).ok());
+  EXPECT_FALSE(decode({early, early}).ok());
+  EXPECT_FALSE(decode({early, foreign}).ok());
 }
 
 TEST(SerializationTest, FrameRoundTrip) {
