@@ -194,6 +194,11 @@ class ProtocolCluster {
   /// Copy of the accumulated crash-recovery totals.
   virtual RecoveryStats recovery_snapshot() const { return {}; }
 
+ protected:
+  /// Exports recovery_snapshot() as the four `recovery.*` counters, only
+  /// once a recovery happened so crash-free snapshots keep their key set.
+  void ExportRecoveryMetrics(obs::MetricsRegistry* registry) const;
+
  private:
   std::vector<uint64_t> client_txn_seq_;  // Lazily sized in BeginTxn.
 };

@@ -208,17 +208,7 @@ void HeliosCluster::ExportMetrics(obs::MetricsRegistry* registry) const {
   registry->counter("protocol.aborts")
       .Set(total.aborts_on_request + total.aborts_by_remote +
            total.aborts_liveness);
-  // Gated on an actual recovery so crash-free snapshots keep their
-  // pre-existing key set byte for byte.
-  if (recovery_stats_.recoveries > 0) {
-    registry->counter("recovery.recoveries").Set(recovery_stats_.recoveries);
-    registry->counter("recovery.records_replayed")
-        .Set(recovery_stats_.records_replayed);
-    registry->counter("recovery.catchup_records")
-        .Set(recovery_stats_.catchup_records);
-    registry->counter("recovery.duration_us")
-        .Set(recovery_stats_.duration_us);
-  }
+  ExportRecoveryMetrics(registry);
   for (DcId dc = 0; dc < config_.num_datacenters; ++dc) {
     const std::string prefix = "node.dc" + std::to_string(dc);
     registry->gauge(prefix + ".pt_pool").Set(

@@ -454,15 +454,7 @@ void ShardedCluster::ExportMetrics(obs::MetricsRegistry* registry) const {
   registry->counter("xshard.slices_committed").Set(total.staged_commits);
   registry->counter("xshard.slices_aborted").Set(total.staged_aborts);
   registry->counter("xshard.slices_resolved").Set(total.staged_resolved);
-  const RecoveryStats recovery = recovery_snapshot();
-  if (recovery.recoveries > 0) {
-    registry->counter("recovery.recoveries").Set(recovery.recoveries);
-    registry->counter("recovery.records_replayed")
-        .Set(recovery.records_replayed);
-    registry->counter("recovery.catchup_records")
-        .Set(recovery.catchup_records);
-    registry->counter("recovery.duration_us").Set(recovery.duration_us);
-  }
+  ExportRecoveryMetrics(registry);
   for (DcId dc = 0; dc < config_.num_datacenters; ++dc) {
     const std::string prefix = "node.dc" + std::to_string(dc);
     double pt = 0.0, ept = 0.0, busy = 0.0, held = 0.0;

@@ -197,6 +197,26 @@ TEST(ReplicatedCommitTest, AbortsWhenMajorityUnreachable) {
   EXPECT_FALSE(txn->outcome.committed);
 }
 
+TEST(ReplicatedCommitTest, AbandonFencesCommitStillVoting) {
+  // The client abandons its commit while the votes are still in flight.
+  // The abandon's abort broadcast releases the write locks everywhere, so
+  // the yes-majority that arrives afterwards must not commit.
+  auto rig = MakeRig(5, Millis(80), /*two_pc=*/false);
+  auto txn = std::make_shared<TxnDriver>(rig.get(), 1);
+  rig->scheduler.At(Millis(10), [txn] { txn->Commit({{"x", "v"}}); });
+  rig->scheduler.At(Millis(30), [&rig, txn] {
+    rig->cluster->TxnAbandon(txn->home, txn->id);
+  });
+  rig->scheduler.RunUntil(Seconds(10));
+  ASSERT_TRUE(txn->done);
+  EXPECT_FALSE(txn->outcome.committed);
+  EXPECT_TRUE(rig->rc().history().commits().empty());
+  for (DcId dc = 0; dc < 5; ++dc) {
+    EXPECT_FALSE(rig->rc().store(dc).Read("x").ok()) << dc;
+    EXPECT_EQ(rig->rc().locks(dc).locked_keys(), 0u) << dc;
+  }
+}
+
 // --- 2PC/Paxos -----------------------------------------------------------------
 
 TEST(TwoPcPaxosTest, CommitLatencyIncludesCoordinatorAndPaxos) {
@@ -281,42 +301,65 @@ TEST(TwoPcPaxosTest, WoundWaitResolvesConflicts) {
   EXPECT_GE(commits, 1) << "wound-wait should let one transaction through";
 }
 
+TEST(TwoPcPaxosTest, AbandonFencesCommitInPaxosRound) {
+  // The abandon reaches the coordinator while the commit is replicating
+  // through Paxos and releases its locks; the commit must then abort, as
+  // a wounded one does, instead of committing on released locks.
+  auto rig = MakeRig(3, Millis(80), /*two_pc=*/true);
+  auto txn = std::make_shared<TxnDriver>(rig.get(), 0);
+  rig->scheduler.At(Millis(10), [txn] { txn->Commit({{"x", "v"}}); });
+  rig->scheduler.At(Millis(30), [&rig, txn] {
+    rig->cluster->TxnAbandon(txn->home, txn->id);
+  });
+  rig->scheduler.RunUntil(Seconds(10));
+  ASSERT_TRUE(txn->done);
+  EXPECT_FALSE(txn->outcome.committed);
+  EXPECT_TRUE(rig->tp().history().commits().empty());
+  for (DcId dc = 0; dc < 3; ++dc) {
+    EXPECT_FALSE(rig->tp().store(dc).Read("x").ok()) << dc;
+  }
+}
+
 // Randomized contention for both baselines: history must stay
 // conflict-serializable and replicas converge.
 template <typename GetHistory, typename GetStore>
 void RunContention(Rig& rig, int n, int keys, GetHistory get_history,
                    GetStore get_store) {
   auto rng = std::make_shared<Rng>(31);
-  auto step = std::make_shared<std::function<void(DcId)>>();
-  auto active = std::make_shared<int>(0);
-  *step = [&rig, rng, keys, step, n](DcId dc) {
+  // Scheduled closures refer to `step` and `wait` by reference rather than
+  // owning them, so no closure keeps itself alive; they run only inside
+  // RunUntil below, while both are in scope.
+  std::function<void(DcId)> step;
+  std::function<void(std::shared_ptr<TxnDriver>, DcId)> wait;
+  // Poll for completion (the commit callback sets done), then go again.
+  wait = [&rig, &step, &wait](std::shared_ptr<TxnDriver> txn, DcId dc) {
+    rig.scheduler.After(Millis(5), [&step, &wait, txn, dc] {
+      if (txn->done) {
+        step(dc);
+      } else {
+        wait(txn, dc);
+      }
+    });
+  };
+  step = [&rig, &step, &wait, rng, keys](DcId dc) {
     if (rig.scheduler.Now() > Seconds(15)) return;
     auto txn = std::make_shared<TxnDriver>(&rig, dc);
     const std::string k1 = "key" + std::to_string(rng->Uniform(keys));
     const std::string k2 = "key" + std::to_string(rng->Uniform(keys));
-    txn->Read(k1, [&rig, txn, k1, k2, step, dc] {
+    txn->Read(k1, [&rig, &step, &wait, txn, k1, k2, dc] {
       if (txn->read_failed) {
-        rig.scheduler.After(Millis(5), [step, dc] { (*step)(dc); });
+        rig.scheduler.After(Millis(5), [&step, dc] { step(dc); });
         return;
       }
       std::vector<WriteEntry> writes{{k1, "v"}};
       if (k2 != k1) writes.push_back({k2, "w"});
       txn->Commit(std::move(writes));
-      // Poll for completion (commit callback sets done).
-      auto wait = std::make_shared<std::function<void()>>();
-      *wait = [&rig, txn, step, dc, wait] {
-        if (txn->done) {
-          (*step)(dc);
-        } else {
-          rig.scheduler.After(Millis(5), *wait);
-        }
-      };
-      rig.scheduler.After(Millis(5), *wait);
+      wait(txn, dc);
     });
   };
   for (DcId dc = 0; dc < n; ++dc) {
-    rig.scheduler.At(Millis(dc + 1), [step, dc] { (*step)(dc); });
-    rig.scheduler.At(Millis(dc + 2), [step, dc] { (*step)(dc); });
+    rig.scheduler.At(Millis(dc + 1), [&step, dc] { step(dc); });
+    rig.scheduler.At(Millis(dc + 2), [&step, dc] { step(dc); });
   }
   rig.scheduler.RunUntil(Seconds(40));
 

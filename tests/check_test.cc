@@ -361,6 +361,21 @@ TEST(Oracles, MetricsRequireRecoveryCounterExactlyWhenScheduled) {
 
   // Conversely: a recovery reported with nothing scheduled.
   EXPECT_EQ(FailureOf(RunOracles(BaseSpec(), result)), "metrics");
+
+  // A recover event after the end of the drain never fires: expecting a
+  // recovery for it was a false positive (a shrunk fuzz spec recovered at
+  // 3.685 s in a 2.7 s run). An event inside the run still counts.
+  auto late = BaseSpec();
+  late.fault_plan.AddCrash(Millis(300), 1).AddRecover(Millis(1201), 1);
+  late.WithClientTimeout(Millis(100), 5);
+  auto no_recovery = BaseResult();
+  no_recovery.metrics.counters.push_back({"client.timeouts", 0});
+  EXPECT_TRUE(RunOracles(late, no_recovery).ok())
+      << RunOracles(late, no_recovery).Summary();
+  EXPECT_EQ(FailureOf(RunOracles(late, result)), "metrics");
+  late.fault_plan.node_events.back().at = Millis(1200);  // The last instant.
+  EXPECT_EQ(FailureOf(RunOracles(late, no_recovery)), "metrics");
+  EXPECT_TRUE(RunOracles(late, result).ok()) << RunOracles(late, result).Summary();
 }
 
 TEST(Oracles, MetricsCatchLivenessViolation) {

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "api/protocol.h"
+#include "baselines/baseline_cluster.h"
 #include "baselines/replicated_commit.h"
 #include "baselines/two_pc_paxos.h"
 #include "core/helios_cluster.h"
@@ -104,7 +105,7 @@ ProtoRig MakeHeliosRig(int f) {
   return rig;
 }
 
-ProtoRig MakeBaselineRig(bool two_pc) {
+ProtoRig MakeBaselineRig(bool two_pc, DcId coordinator = 0) {
   ProtoRig rig;
   const int n = 3;
   rig.scheduler = std::make_unique<sim::Scheduler>();
@@ -114,46 +115,34 @@ ProtoRig MakeBaselineRig(bool two_pc) {
       rig.network->SetRtt(a, b, Millis(80), 0);
     }
   }
+  std::unique_ptr<baselines::BaselineCluster> cluster;
   if (two_pc) {
     baselines::TwoPcPaxosConfig cfg;
     cfg.num_datacenters = n;
-    cfg.coordinator = 0;
-    auto cluster = std::make_unique<baselines::TwoPcPaxosCluster>(
+    cfg.coordinator = coordinator;
+    cluster = std::make_unique<baselines::TwoPcPaxosCluster>(
         rig.scheduler.get(), rig.network.get(), cfg);
-    auto* raw = cluster.get();
-    rig.crash = [&rig, raw](DcId dc) {
-      rig.network->CrashNode(dc);
-      raw->SetDatacenterDown(dc, true);
-    };
-    rig.recover = [&rig, raw](DcId dc) {
-      rig.network->RecoverNode(dc);
-      raw->SetDatacenterDown(dc, false);
-    };
-    rig.read_store = [raw](DcId dc, const Key& key) {
-      return raw->store(dc).Read(key);
-    };
-    rig.stats = [raw] { return raw->recovery_stats(); };
-    rig.cluster = std::move(cluster);
   } else {
     baselines::ReplicatedCommitConfig cfg;
     cfg.num_datacenters = n;
-    auto cluster = std::make_unique<baselines::ReplicatedCommitCluster>(
+    cluster = std::make_unique<baselines::ReplicatedCommitCluster>(
         rig.scheduler.get(), rig.network.get(), cfg);
-    auto* raw = cluster.get();
-    rig.crash = [&rig, raw](DcId dc) {
-      rig.network->CrashNode(dc);
-      raw->SetDatacenterDown(dc, true);
-    };
-    rig.recover = [&rig, raw](DcId dc) {
-      rig.network->RecoverNode(dc);
-      raw->SetDatacenterDown(dc, false);
-    };
-    rig.read_store = [raw](DcId dc, const Key& key) {
-      return raw->store(dc).Read(key);
-    };
-    rig.stats = [raw] { return raw->recovery_stats(); };
-    rig.cluster = std::move(cluster);
   }
+  auto* raw = cluster.get();
+  sim::Network* network = rig.network.get();
+  rig.crash = [network, raw](DcId dc) {
+    network->CrashNode(dc);
+    raw->SetDatacenterDown(dc, true);
+  };
+  rig.recover = [network, raw](DcId dc) {
+    network->RecoverNode(dc);
+    raw->SetDatacenterDown(dc, false);
+  };
+  rig.read_store = [raw](DcId dc, const Key& key) {
+    return raw->store(dc).Read(key);
+  };
+  rig.stats = [raw] { return raw->recovery_stats(); };
+  rig.cluster = std::move(cluster);
   return rig;
 }
 
@@ -373,6 +362,105 @@ TEST(CatchupTest, BaselinesPullMissedDecisions) {
       ASSERT_TRUE(v2.ok()) << key;
       EXPECT_EQ(v2.value().writer, v0.value().writer) << key;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The baselines' shared journal-and-recovery core
+// (src/baselines/baseline_cluster.h), exercised through both protocols.
+
+baselines::BaselineCluster& Core(ProtoRig& rig) {
+  return static_cast<baselines::BaselineCluster&>(*rig.cluster);
+}
+
+size_t StoreKeys(const ProtoRig& rig, DcId dc) {
+  size_t keys = 0;
+  rig.cluster->SnapshotStore(
+      dc, [&keys](const Key&, const VersionedValue&) { ++keys; });
+  return keys;
+}
+
+TEST(BaselineCoreTest, CrashKeepsOnlyTheJournal) {
+  for (const bool two_pc : {false, true}) {
+    SCOPED_TRACE(two_pc ? "2pc" : "rc");
+    ProtoRig rig = MakeBaselineRig(two_pc);
+    for (int k = 0; k < kScriptTxns; ++k) {
+      rig.cluster->LoadInitialAll(ScriptKey(k), "init");
+    }
+    rig.cluster->Start();
+    auto commits = std::make_shared<int>(0);
+    ScheduleScriptedTraffic(&rig, commits);
+
+    // Traffic has quiesced by 6 s; every replica applied every decision.
+    const auto& journal = Core(rig).wal_journal(2)->contents().records;
+    size_t keys_while_down = 0;
+    rig.scheduler->At(Seconds(6), [&] {
+      rig.crash(2);
+      keys_while_down = StoreKeys(rig, 2);
+    });
+    rig.scheduler->At(Seconds(7), [&] {
+      EXPECT_TRUE(rig.cluster->datacenter_down(2));
+      rig.recover(2);
+    });
+    rig.scheduler->RunUntil(Seconds(10));
+
+    ASSERT_EQ(*commits, kScriptTxns);
+    EXPECT_EQ(keys_while_down, 0u) << "the store must not survive a crash";
+    EXPECT_EQ(journal.size(), static_cast<size_t>(kScriptTxns));
+    EXPECT_FALSE(rig.cluster->datacenter_down(2));
+    const RecoveryStats stats = rig.stats();
+    EXPECT_EQ(stats.recoveries, 1u);
+    EXPECT_EQ(stats.records_replayed, static_cast<uint64_t>(kScriptTxns));
+    EXPECT_EQ(stats.catchup_records, 0u) << "nothing was missed";
+    EXPECT_EQ(StoreKeys(rig, 2), static_cast<size_t>(kScriptTxns));
+    for (int k = 0; k < kScriptTxns; ++k) {
+      auto v = rig.read_store(2, ScriptKey(k));
+      ASSERT_TRUE(v.ok()) << k;
+      EXPECT_EQ(v.value().value, "v" + std::to_string(k));
+    }
+  }
+}
+
+TEST(BaselineCoreTest, CatchupAsksTheCoordinatorFirst) {
+  // DC 2 restarts with DC 0 at 80 ms RTT and DC 1 at 400 ms. Replicated
+  // Commit has no coordinator and pulls from the first live peer (0);
+  // 2PC/Paxos with coordinator 1 pulls from it, as its journal is the
+  // complete one. Recovery takes one round trip to the chosen peer.
+  for (const bool two_pc : {false, true}) {
+    SCOPED_TRACE(two_pc ? "2pc" : "rc");
+    ProtoRig rig = MakeBaselineRig(two_pc, /*coordinator=*/1);
+    rig.network->SetRtt(1, 2, Millis(400), 0);
+    rig.cluster->Start();
+    rig.scheduler->At(Seconds(1), [&rig] { rig.crash(2); });
+    rig.scheduler->At(Seconds(2), [&rig] { rig.recover(2); });
+    rig.scheduler->RunUntil(Seconds(4));
+    const RecoveryStats stats = rig.stats();
+    ASSERT_EQ(stats.recoveries, 1u);
+    const Duration rtt = two_pc ? Millis(400) : Millis(80);
+    EXPECT_GE(static_cast<Duration>(stats.duration_us), rtt);
+    EXPECT_LT(static_cast<Duration>(stats.duration_us), rtt + Millis(5));
+  }
+}
+
+TEST(BaselineCoreTest, LostPullRejoinsAfterDecisionTimeout) {
+  // The catch-up peer crashes before the pull reaches it: the restarted
+  // datacenter rejoins on its own journal once `decision_timeout` passes
+  // (5 s for Replicated Commit, 10 s for 2PC/Paxos by default).
+  for (const bool two_pc : {false, true}) {
+    SCOPED_TRACE(two_pc ? "2pc" : "rc");
+    ProtoRig rig = MakeBaselineRig(two_pc);
+    rig.cluster->Start();
+    rig.scheduler->At(Seconds(1), [&rig] { rig.crash(2); });
+    rig.scheduler->At(Seconds(2), [&rig] { rig.recover(2); });
+    rig.scheduler->At(Seconds(2) + Millis(1), [&rig] { rig.crash(0); });
+    const Duration timeout = two_pc ? Seconds(10) : Seconds(5);
+    rig.scheduler->RunUntil(Seconds(2) + timeout - Millis(1));
+    EXPECT_EQ(rig.stats().recoveries, 0u) << "still recovering";
+    rig.scheduler->RunUntil(Seconds(2) + timeout);
+    const RecoveryStats stats = rig.stats();
+    EXPECT_EQ(stats.recoveries, 1u);
+    EXPECT_EQ(stats.catchup_records, 0u);
+    EXPECT_EQ(static_cast<Duration>(stats.duration_us), timeout);
   }
 }
 

@@ -392,5 +392,36 @@ TEST(LockTableWoundWaitTest, NoDeadlockUnderCrossingRequests) {
   EXPECT_TRUE(t.Holds("b", Id(0, 1), LockMode::kExclusive));
 }
 
+TEST(LockTableWoundWaitTest, GrantCallbackWoundingTheReleaserTerminates) {
+  // T holds shared locks on a and b; younger writers X (on a) and Y (on b)
+  // wait behind it. Whichever is granted first when T releases has an
+  // older R take the other key exclusively — which wounds T again if T
+  // still holds that key. Releasing must drop all of T's holds before any
+  // grant callback runs, or R's Acquire retries against T forever.
+  LockTable t(LockPolicy::kWoundWait);
+  std::vector<TxnId> wounded;
+  t.set_wound_handler([&](TxnId v) { wounded.push_back(v); });
+  const TxnId holder = Id(0, 1), x = Id(0, 2), y = Id(0, 3), r = Id(0, 4);
+  t.Acquire("a", LockMode::kShared, holder, 10, [](Status) {});
+  t.Acquire("b", LockMode::kShared, holder, 10, [](Status) {});
+  int r_granted = 0;
+  auto take_other = [&](const Key& other) {
+    return [&, other](Status s) {
+      if (!s.ok()) return;
+      t.Acquire(other, LockMode::kExclusive, r, 5,
+                [&](Status rs) { r_granted += rs.ok(); });
+    };
+  };
+  t.Acquire("a", LockMode::kExclusive, x, 20, take_other("b"));
+  t.Acquire("b", LockMode::kExclusive, y, 30, take_other("a"));
+  t.ReleaseAll(holder);
+  EXPECT_EQ(r_granted, 1);
+  EXPECT_TRUE(wounded.empty());  // T was already gone when R asked.
+  EXPECT_NE(t.Holds("a", r, LockMode::kExclusive),
+            t.Holds("b", r, LockMode::kExclusive));
+  EXPECT_FALSE(t.Holds("a", holder, LockMode::kShared));
+  EXPECT_FALSE(t.Holds("b", holder, LockMode::kShared));
+}
+
 }  // namespace
 }  // namespace helios
