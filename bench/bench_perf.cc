@@ -9,8 +9,8 @@
 //   sim.shard.scaling      disjoint-key workload, 1 shard vs 2 range-aligned
 //                          shards, in simulated txns/s; gates the sharding
 //                          capacity win (docs/SHARDING.md)
-//   wire.encode.legacy     allocate-per-call envelope framing (the old
-//                          Encoder/FrameEnvelope API, kept as the "before"
+//   wire.encode.legacy     allocate-per-call envelope framing (the
+//                          one-shot FrameEnvelope, kept as the "before"
 //                          leg of the redesign)
 //   wire.encode.reuse      wire::Framer into caller-owned reused buffers
 //                          (the "after" leg; speedup_vs_legacy is the
@@ -209,8 +209,8 @@ void BenchShardScaling(int measure_s, int jobs, hns::PerfReport* report) {
                txns_per_sim_s[1] / txns_per_sim_s[0]);
 }
 
-/// One corpus, three legs: legacy allocate-per-call framing (the old
-/// Encoder/FrameEnvelope API, kept exactly as the "before" measurement),
+/// One corpus, three legs: legacy allocate-per-call framing (the one-shot
+/// FrameEnvelope, kept exactly as the "before" measurement),
 /// wire::Framer reuse (the redesign), and decode.
 void BenchWireCorpus(const std::string& name,
                      const std::vector<core::Envelope>& corpus, int iters,

@@ -313,9 +313,10 @@ void HeliosNode::ProcessStagedCommit(const TxnId& id,
                                      sim::SimTime arrived_sim) {
   if (down_) return;
   ++counters_.staged_requests;
-  TryStagedAdmission(id, MakeTxnBody(id, std::move(reads), std::move(writes)),
-                     std::move(admitted), std::move(prepared), arrived_sim,
-                     kStagedRetryBudget);
+  TryStagedAdmission(
+      id, StagedSlice{MakeTxnBody(id, std::move(reads), std::move(writes)),
+                      std::move(admitted), std::move(prepared), arrived_sim,
+                      kStagedRetryBudget});
 }
 
 bool HeliosNode::StagedConflictsAllYoungerStaged(const TxnId& id,
@@ -336,76 +337,64 @@ bool HeliosNode::StagedConflictsAllYoungerStaged(const TxnId& id,
 
 bool HeliosNode::OlderWaiterConflicts(const TxnId& id,
                                       const TxnBody& body) const {
-  for (const auto& [wid, wbody] : staged_waiting_) {
+  for (const auto& [wid, waiter] : staged_waiting_) {
     if (MintedAfter(wid, id)) continue;  // Younger waiters never fence.
-    for (const WriteEntry& w : wbody->write_set) {
+    for (const WriteEntry& w : waiter.body->write_set) {
       if (body.ReadsKey(w.key) || body.WritesKey(w.key)) return true;
     }
     for (const WriteEntry& w : body.write_set) {
-      if (wbody->ReadsKey(w.key)) return true;
+      if (waiter.body->ReadsKey(w.key)) return true;
     }
   }
   return false;
 }
 
-void HeliosNode::TryStagedAdmission(const TxnId& id, TxnBodyPtr body,
-                                    StagedAdmitCallback admitted,
-                                    StagedCommitCallback prepared,
-                                    sim::SimTime arrived_sim,
-                                    int retries_left) {
-  staged_waiting_.erase(id);  // Re-registered below if it parks again.
-  const bool doomed = staged_doomed_.erase(id) > 0;
+void HeliosNode::TryStagedAdmission(const TxnId& id, StagedSlice slice) {
   if (down_) return;
-  if (doomed) {
-    // The coordinator finalize-aborted this slice while it was parked
-    // (see ProcessFinalizeStaged): abort instead of admitting.
-    ++counters_.staged_aborts;
-    admitted(StagedAdmitOutcome{id, false, "xshard:abort", kMinTimestamp});
-    return;
-  }
   if (recovering_) {
     ++counters_.staged_aborts;
-    admitted(StagedAdmitOutcome{id, false, "recovering", kMinTimestamp});
+    slice.admitted(StagedAdmitOutcome{id, false, "recovering", kMinTimestamp});
     return;
   }
-  if (OlderWaiterConflicts(id, *body)) {
+  if (OlderWaiterConflicts(id, *slice.body)) {
     ++counters_.staged_aborts;
-    admitted(StagedAdmitOutcome{id, false, "conflict:waiting", kMinTimestamp});
+    slice.admitted(
+        StagedAdmitOutcome{id, false, "conflict:waiting", kMinTimestamp});
     return;
   }
   PendingTxn pending;
-  pending.arrived_sim = arrived_sim;
+  pending.arrived_sim = slice.arrived_sim;
   pending.staged = true;
   pending.wait_armed = false;
-  pending.staged_reply = std::move(prepared);
+  pending.staged_reply = std::move(slice.prepared);
   std::string abort_reason;
-  if (!AdmitPreparing(id, body, &pending, &abort_reason)) {
-    if (retries_left > 0 && StagedConflictsAllYoungerStaged(id, *body)) {
+  if (!AdmitPreparing(id, slice.body, &pending, &abort_reason)) {
+    if (slice.retries_left > 0 &&
+        StagedConflictsAllYoungerStaged(id, *slice.body)) {
       // Wait arm of wait-die (see TryStagedAdmission's declaration). The
       // recheck runs off the scheduler, not the service queue: it is a
       // local pool probe, and queueing it would serialize behind the very
       // admissions it yields to.
       ++counters_.staged_waits;
-      staged_waiting_[id] = body;
-      scheduler_->After(
-          kStagedRetryInterval,
-          Guarded([this, id, body = std::move(body),
-                   admitted = std::move(admitted),
-                   prepared = std::move(pending.staged_reply),
-                   arrived_sim, retries_left]() mutable {
-            TryStagedAdmission(id, std::move(body), std::move(admitted),
-                               std::move(prepared), arrived_sim,
-                               retries_left - 1);
-          }));
+      slice.prepared = std::move(pending.staged_reply);
+      staged_waiting_.emplace(id, std::move(slice));
+      scheduler_->After(kStagedRetryInterval, Guarded([this, id]() {
+        auto it = staged_waiting_.find(id);
+        if (it == staged_waiting_.end()) return;  // Cancelled by a finalize.
+        StagedSlice parked = std::move(it->second);
+        staged_waiting_.erase(it);
+        --parked.retries_left;
+        TryStagedAdmission(id, std::move(parked));
+      }));
       return;
     }
     ++counters_.staged_aborts;
-    admitted(StagedAdmitOutcome{id, false, abort_reason, kMinTimestamp});
+    slice.admitted(StagedAdmitOutcome{id, false, abort_reason, kMinTimestamp});
     return;
   }
   // No TryCommitAll here: the slice cannot prepare before the coordinator
   // raises its wait base, and nothing else changed for other transactions.
-  admitted(StagedAdmitOutcome{id, true, "", pending_.at(id).request_ts});
+  slice.admitted(StagedAdmitOutcome{id, true, "", pending_.at(id).request_ts});
 }
 
 void HeliosNode::ProcessRaiseStagedWait(const TxnId& id, Timestamp wait_base) {
@@ -822,20 +811,19 @@ void HeliosNode::ProcessFinalizeStaged(const TxnId& id, bool commit,
                                        Timestamp commit_ts) {
   if (down_) return;
   if (!commit) {
-    // The coordinator may abort a slice that is still pending (a sibling
-    // shard failed admission before this slice ever prepared).
+    // The coordinator may abort a slice before it ever prepared (a sibling
+    // shard failed admission): cancel it while parked in wait-die ...
+    if (auto wit = staged_waiting_.find(id); wit != staged_waiting_.end()) {
+      StagedAdmitCallback admitted = std::move(wit->second.admitted);
+      staged_waiting_.erase(wit);
+      ++counters_.staged_aborts;
+      admitted(StagedAdmitOutcome{id, false, "xshard:abort", kMinTimestamp});
+      return;
+    }
+    // ... or abort it while pending.
     auto pit = pending_.find(id);
     if (pit != pending_.end() && pit->second.staged) {
       AbortPending(id, "xshard:abort", &NodeCounters::aborts_liveness);
-      return;
-    }
-    // ... or still parked in wait-die. The retry runs off the scheduler,
-    // not this FIFO service queue, so it can fire after this finalize and
-    // admit into a transaction the coordinator has already given up on —
-    // an intent nobody is left to finalize, wedging its keys forever.
-    // Doom it instead: the retry consumes the marker and aborts.
-    if (staged_waiting_.erase(id) > 0) {
-      staged_doomed_.insert(id);
       return;
     }
   }

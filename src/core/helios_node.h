@@ -82,8 +82,8 @@ struct NodeCounters {
                                      ///< staged conflicts (wait-die).
   uint64_t staged_prepared = 0;      ///< Intents whose commit wait passed.
   uint64_t staged_commits = 0;       ///< Finalized as committed.
-  uint64_t staged_aborts = 0;        ///< Aborted (admission, victim, doomed,
-                                     ///< or coordinator finalize-abort).
+  uint64_t staged_aborts = 0;        ///< Aborted (admission, victim, or
+                                     ///< coordinator finalize-abort).
   uint64_t staged_resolved = 0;      ///< Decided by the recovery resolver.
 
   uint64_t total_aborts() const {
@@ -192,6 +192,11 @@ class HeliosNode {
   /// Rule 1 argument that protects a transaction at the instant its wait
   /// is satisfied — and `prepared` acks the coordinator, which decides via
   /// HandleFinalizeStaged.
+  ///
+  /// Contract: every call gets exactly one `admitted` answer unless the
+  /// node crashes first (a crash drops the slice with the coordinator's
+  /// volatile state). A slice parked by wait-die is answered when it
+  /// admits, dies, or is cancelled by a finalize-abort ("xshard:abort").
   void HandleStagedCommit(const TxnId& id, std::vector<ReadEntry> reads,
                           std::vector<WriteEntry> writes,
                           StagedAdmitCallback admitted,
@@ -206,9 +211,12 @@ class HeliosNode {
   /// no longer pending (the slice already aborted).
   void HandleRaiseStagedWait(const TxnId& id, Timestamp wait_base);
 
-  /// Coordinator decision for a held intent: apply + append the standard
-  /// finished record (commit) or append an abort record. A no-op for ids
-  /// this node no longer holds (e.g. the slice already self-aborted).
+  /// Coordinator decision for a slice. Commit applies a held intent and
+  /// appends the standard finished record. Abort resolves the slice in
+  /// whichever state it is in: a parked slice is cancelled and answered
+  /// `admitted=false`, a pending one is aborted, a held one gets an abort
+  /// record. A no-op for ids this node no longer has (e.g. the slice
+  /// already self-aborted).
   void HandleFinalizeStaged(const TxnId& id, bool commit,
                             Timestamp commit_ts);
 
@@ -353,6 +361,18 @@ class HeliosNode {
     StagedCommitCallback staged_reply;
   };
 
+  /// A staged slice on its way through admission. While parked by
+  /// wait-die it lives in staged_waiting_, which owns it: the re-probe
+  /// timer carries only the id, and a finalize-abort cancels the slice by
+  /// erasing the entry.
+  struct StagedSlice {
+    TxnBodyPtr body;
+    StagedAdmitCallback admitted;
+    StagedCommitCallback prepared;
+    sim::SimTime arrived_sim = 0;
+    int retries_left = 0;
+  };
+
   /// A prepared cross-shard intent awaiting the coordinator's decision.
   /// Still in pt_pool_ (it must keep blocking conflicting admissions —
   /// dropping it would let a later local transaction read around the
@@ -387,10 +407,7 @@ class HeliosNode {
   /// admissions keep Algorithm 1's abort-on-conflict unchanged, but they
   /// die against the waiter fence like everything else (see
   /// OlderWaiterConflicts).
-  void TryStagedAdmission(const TxnId& id, TxnBodyPtr body,
-                          StagedAdmitCallback admitted,
-                          StagedCommitCallback prepared,
-                          sim::SimTime arrived_sim, int retries_left);
+  void TryStagedAdmission(const TxnId& id, StagedSlice slice);
 
   /// True iff every pooled transaction conflicting with `body` was minted
   /// after `id` — the wait arm of wait-die.
@@ -566,14 +583,7 @@ class HeliosNode {
   std::map<TxnId, StagedHold> staged_holds_;
   /// Staged slices parked by wait-die, by id; their bodies fence younger
   /// overlapping admissions (OlderWaiterConflicts).
-  std::map<TxnId, TxnBodyPtr> staged_waiting_;
-  /// Parked slices the coordinator finalize-aborted while they waited:
-  /// the wait-die retry runs off the scheduler, not the FIFO service
-  /// queue, so the finalize cannot intercept it — instead the retry
-  /// consumes the marker and aborts rather than admitting into a
-  /// transaction nobody is left to finalize. Each entry is consumed by
-  /// exactly one retry (or dies with the node object).
-  std::set<TxnId> staged_doomed_;
+  std::map<TxnId, StagedSlice> staged_waiting_;
   StagedResolver staged_resolver_;
 
   uint64_t next_txn_seq_ = 1;

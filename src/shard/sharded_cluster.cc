@@ -26,13 +26,6 @@ bool MutationSkipStagedResolution() {
   return on;
 }
 
-/// Env-gated diagnostic: set HELIOS_DEBUG_XSHARD=1 to print every
-/// cross-shard abort with its reason to stderr (livelock triage).
-bool DebugXshard() {
-  static const bool on = std::getenv("HELIOS_DEBUG_XSHARD") != nullptr;
-  return on;
-}
-
 }  // namespace
 
 ShardedCluster::ShardedCluster(sim::Scheduler* scheduler,
@@ -153,21 +146,7 @@ void ShardedCluster::StartCrossShard(DcId dc, SliceMap slices, TxnBodyPtr body,
 void ShardedCluster::OnSliceAdmitted(int s,
                                      const core::StagedAdmitOutcome& out) {
   auto it = inflight_.find(out.id);
-  if (it == inflight_.end()) {
-    // Decided (abort) or crashed — e.g. the slice was parked in wait-die
-    // when the decision's finalize swept through, and its retry admitted
-    // afterwards. Release the intent now: with the transaction forgotten,
-    // nobody is left to finalize it and it would block conflicting
-    // admissions on shard s forever. Safe to abort unconditionally — a
-    // commit decision consumes every participant's single admitted ack
-    // before the transaction leaves inflight_, so a stray admitted=true
-    // ack can never belong to a committed transaction.
-    if (out.admitted) {
-      node(s, out.id.origin).HandleFinalizeStaged(out.id, false,
-                                                  kMinTimestamp);
-    }
-    return;
-  }
+  if (it == inflight_.end()) return;  // Already decided; see Advance.
   CrossShardTxn& x = it->second;
   if (out.admitted) {
     x.admitted[s] = out.request_ts;
@@ -181,17 +160,7 @@ void ShardedCluster::OnSliceAdmitted(int s,
 void ShardedCluster::OnSlicePrepared(int s,
                                      const core::StagedCommitOutcome& out) {
   auto it = inflight_.find(out.id);
-  if (it == inflight_.end()) {
-    // Same reconciliation as OnSliceAdmitted: a commit decision consumes
-    // all n prepared acks before erasing the transaction, so a stray
-    // prepared=true ack can only be the leftover of an abort/crash race —
-    // release the held intent.
-    if (out.prepared) {
-      node(s, out.id.origin).HandleFinalizeStaged(out.id, false,
-                                                  kMinTimestamp);
-    }
-    return;
-  }
+  if (it == inflight_.end()) return;  // Already decided; see Advance.
   CrossShardTxn& x = it->second;
   if (out.prepared) {
     x.prepared.insert(s);
@@ -212,9 +181,14 @@ void ShardedCluster::Advance(const TxnId& id) {
   const Duration link = config_.client_link_one_way;
 
   if (!x.failed.empty()) {
-    // Abort immediately: slices whose admission is still queued behind us
-    // in their shard's service queue are aborted by the finalize (FIFO
-    // per node guarantees the admission processes first).
+    // Abort immediately. The finalize resolves every slice that has not
+    // failed, whatever its state: each slice's admission was queued before
+    // this finalize on its node's FIFO service queue, so the finalize finds
+    // the slice parked (cancelled), pending (aborted) or held (abort
+    // record). A positive ack arriving after this decision finds the
+    // transaction gone from inflight_ and is ignored: the finalize, which
+    // runs on that slice's queue after the ack, releases what it reported.
+    // A commit decision, in turn, consumes every participant's acks first.
     status_[static_cast<size_t>(x.dc)].Abort(id);
     ++xstats_.aborted;
     for (const int s : x.participants) {
@@ -223,10 +197,6 @@ void ShardedCluster::Advance(const TxnId& id) {
     }
     const std::string reason =
         x.abort_reason.empty() ? "xshard:abort" : x.abort_reason;
-    if (DebugXshard()) {
-      std::fprintf(stderr, "XABORT %d:%llu %s\n", id.origin,
-                   static_cast<unsigned long long>(id.seq), reason.c_str());
-    }
     CommitCallback done = std::move(x.done);
     inflight_.erase(it);
     scheduler_->After(link, [done = std::move(done), id, reason]() {

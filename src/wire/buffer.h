@@ -1,11 +1,9 @@
 // Caller-owned reusable byte buffer for the copy-free encode path.
 //
-// Buffer is the storage half of the wire::Writer API: a growable byte
-// sink whose Clear() keeps its capacity, so a long-lived Buffer reaches a
-// high-water mark after a few messages and every encode after that is
-// allocation-free. Encoder (wire/codec.h) remains the legacy owning
-// interface; new hot-path code should hold a Buffer and encode into it
-// with a Writer.
+// Buffer is the storage half of the wire::Writer API (wire/codec.h): a
+// growable byte sink whose Clear() keeps its capacity, so a long-lived
+// Buffer reaches a high-water mark after a few messages and every encode
+// after that is allocation-free.
 
 #ifndef HELIOS_WIRE_BUFFER_H_
 #define HELIOS_WIRE_BUFFER_H_

@@ -126,6 +126,10 @@ TEST_P(FailureInjectionSweep, SerializableThroughRandomOutages) {
 
   // Run traffic, then let everything recover and quiesce.
   scheduler.RunUntil(Seconds(45));
+  // Both closures own the shared_ptr they live in; drop them to break
+  // the cycles.
+  *loop = nullptr;
+  *inject = nullptr;
 
   // Lossy cells commit far less: every dropped log record head-of-line
   // blocks its channel for an RTO (~2x RTT), so the bar is progress, not

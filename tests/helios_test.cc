@@ -332,6 +332,7 @@ ContentionOutcome RunContentionWorkload(TestRig& rig,
   // Run the workload then let everything quiesce (in-flight transactions
   // decide, logs fully propagate).
   rig.scheduler.RunUntil(opt.run_for + Seconds(30));
+  *step = nullptr;  // The closure owns `step`; drop it to break the cycle.
   return *outcome;
 }
 

@@ -494,15 +494,17 @@ std::string Hex(const std::vector<uint8_t>& bytes) {
 
 TEST(RdictModelTest, PushBackMessageRoundTripsWithUnchangedBytes) {
   const core::Envelope env = HandBuiltEnvelope();
-  wire::Encoder enc;
-  wire::EncodeEnvelope(env, &enc);
-  EXPECT_EQ(Hex(enc.bytes()), kHandBuiltEnvelopeHex);
+  wire::Buffer bytes;
+  wire::Writer w(&bytes);
+  wire::EncodeEnvelope(env, &w);
+  EXPECT_EQ(Hex(bytes.vec()), kHandBuiltEnvelopeHex);
   auto round = wire::UnframeEnvelope(wire::FrameEnvelope(env));
   ASSERT_TRUE(round.ok()) << round.status().ToString();
   EXPECT_EQ(round.value().log.records.size(), 6u);
-  wire::Encoder again;
-  wire::EncodeEnvelope(round.value(), &again);
-  EXPECT_EQ(again.bytes(), enc.bytes());
+  wire::Buffer again;
+  wire::Writer again_w(&again);
+  wire::EncodeEnvelope(round.value(), &again_w);
+  EXPECT_EQ(again.vec(), bytes.vec());
 }
 
 }  // namespace

@@ -77,6 +77,7 @@ TEST(RetransmitPathTest, SizerRunsOncePerLogicalSendDespiteRetransmits) {
     scheduler.At(Millis(dc + 1), [loop, dc] { (*loop)(dc, 0); });
   }
   scheduler.RunUntil(Seconds(10));
+  *loop = nullptr;  // The closure owns `loop`; drop it to break the cycle.
 
   // The run must actually have exercised the retransmission machinery
   // and committed through it.

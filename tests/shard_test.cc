@@ -272,6 +272,23 @@ TEST(CrossShardCommit, ContendedTinyKeyspaceStillCommits) {
   const auto* waited = result.metrics.FindCounter("xshard.slices_waited");
   ASSERT_NE(waited, nullptr);
   EXPECT_GT(waited->value, 0u);
+
+  // No orphaned intent: after the drain no shard node at any datacenter
+  // still holds a staged intent or a preparing transaction.
+  const auto gauge = [&](const std::string& name) -> const double* {
+    for (const auto& g : result.metrics.gauges) {
+      if (g.name == name) return &g.value;
+    }
+    return nullptr;
+  };
+  for (DcId dc = 0; dc < 5; ++dc) {
+    for (const char* field : {"staged_holds", "pt_pool", "ept_pool"}) {
+      const std::string name = "node.dc" + std::to_string(dc) + "." + field;
+      const double* value = gauge(name);
+      ASSERT_NE(value, nullptr) << name;
+      EXPECT_EQ(*value, 0.0) << name;
+    }
+  }
 }
 
 // --- Wait-die parked slices vs the coordinator's finalize --------------------
@@ -307,7 +324,8 @@ std::unique_ptr<SliceRig> MakeSliceRig() {
 /// pending_ nor staged_holds_), so its off-queue retry would later admit
 /// into a transaction the coordinator had already forgotten — an intent
 /// nobody finalizes, aborting every conflicting admission on its keys
-/// forever. The finalize must doom the parked waiter instead.
+/// forever. The node owns the parked slice, so the finalize cancels it
+/// and answers `admitted=false` at once, not at the next re-probe.
 TEST(CrossShardSlice, FinalizeAbortCancelsParkedWaiter) {
   auto rig = MakeSliceRig();
   core::HeliosNode& node = rig->cluster->node(0);
@@ -347,10 +365,16 @@ TEST(CrossShardSlice, FinalizeAbortCancelsParkedWaiter) {
     node.HandleFinalizeStaged(older, false, kMinTimestamp);
     node.HandleFinalizeStaged(younger, false, kMinTimestamp);
   });
+  // The finalize answered the parked slice itself: the answer is in
+  // before the next 500 µs re-probe could have fired.
+  rig->scheduler.At(Millis(12) + Micros(100), [&] {
+    EXPECT_TRUE(older_admit_seen) << "answer waited for the re-probe";
+    EXPECT_EQ(node.staged_waiting_count(), 0u);
+  });
   rig->scheduler.RunUntil(Seconds(1));
 
-  // The parked slice's retry aborted on the doomed marker instead of
-  // admitting into the forgotten transaction.
+  // The parked slice was cancelled instead of admitting into the
+  // forgotten transaction.
   ASSERT_TRUE(older_admit_seen);
   EXPECT_FALSE(older_admit.admitted);
   EXPECT_EQ(older_admit.abort_reason, "xshard:abort");
