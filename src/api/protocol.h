@@ -142,10 +142,11 @@ class ProtocolCluster {
   // --- Chaos harness (src/sim fault injection) ----------------------------
 
   /// Routes all inter-datacenter protocol traffic through `mesh`, the
-  /// reliable session layer the chaos harness puts under every protocol
-  /// when the network can lose or duplicate messages. Null (the default
-  /// state) keeps direct network sends. Call before Start(). Default
-  /// implementation: no-op, for deployments without a WAN.
+  /// reliable session layer the chaos harness puts under the lock-based
+  /// baselines (RC, 2PC/Paxos) when the network can lose or duplicate
+  /// messages. Null (the default state) keeps direct network sends. Call
+  /// before Start(). Default implementation: no-op, which is what the
+  /// Helios family keeps: its gossip needs no session layer.
   virtual void SetReliableMesh(sim::ReliableMesh* /*mesh*/) {}
 
   /// Marks datacenter `dc`'s server process down or up without touching

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "sim/reliable.h"
-
 namespace helios::core {
 
 HeliosCluster::HeliosCluster(sim::Scheduler* scheduler, sim::Network* network,
@@ -34,18 +32,13 @@ std::unique_ptr<HeliosNode> HeliosCluster::MakeNode(DcId dc) {
   auto node = std::make_unique<HeliosNode>(
       dc, config_, kind_, scheduler_, clocks_[static_cast<size_t>(dc)].get(),
       [this, dc](DcId to, const EnvelopePtr& env) {
-        // Sized once per logical send; retransmissions and duplicate
-        // deliveries reuse the cached size and the shared envelope (no
-        // re-encode, no deep copies).
+        // Straight onto the (possibly lossy) network: gossip is
+        // anti-entropy and needs no session layer (DESIGN.md §2). A
+        // duplicate delivery shares the envelope; no deep copy.
         const size_t size = envelope_sizer_ ? envelope_sizer_(*env) : 0;
-        auto deliver = [this, to, env]() {
+        network_->SendSized(dc, to, size, [this, to, env]() {
           nodes_[static_cast<size_t>(to)]->HandleEnvelope(env);
-        };
-        if (mesh_ != nullptr) {
-          mesh_->SendSized(dc, to, size, std::move(deliver));
-        } else {
-          network_->SendSized(dc, to, size, std::move(deliver));
-        }
+        });
       });
   node->set_history_recorder(history_override_ != nullptr ? history_override_
                                                           : &history_);

@@ -58,10 +58,6 @@ class HeliosCluster : public ProtocolCluster {
   void CrashDatacenter(DcId dc);
   void RecoverDatacenter(DcId dc);
 
-  /// Routes peer envelopes through `mesh` (reliable sessions over the
-  /// lossy WAN); null restores direct network sends.
-  void SetReliableMesh(sim::ReliableMesh* mesh) override { mesh_ = mesh; }
-
   /// Node-process half of an outage (the harness handles the network
   /// half): `down` destroys the node object — true amnesia — leaving a
   /// fresh down shell that drops in-flight deliveries; `!down` replays
@@ -155,7 +151,6 @@ class HeliosCluster : public ProtocolCluster {
 
   sim::Scheduler* scheduler_;
   sim::Network* network_;
-  sim::ReliableMesh* mesh_ = nullptr;
   HeliosConfig config_;
   const LogProtocolKind kind_;
   std::string name_;

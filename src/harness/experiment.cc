@@ -88,6 +88,9 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
 
   // Chaos layer: install the fault plan's message faults and decide
   // whether the protocol needs the reliable session layer underneath.
+  // Only the lock-based baselines do: their RPCs are not idempotent,
+  // while Helios-family gossip is anti-entropy that rides the bare lossy
+  // network (DESIGN.md §2).
   const bool has_message_faults = config.fault_plan.HasMessageFaults();
   if (!config.fault_plan.empty()) {
     const Status st = config.fault_plan.Validate(n);
@@ -110,8 +113,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     (void)st;
   }
   const bool reliable_on =
-      config.reliable == ReliableDelivery::kOn ||
-      (config.reliable == ReliableDelivery::kAuto && has_message_faults);
+      has_message_faults && !IsHeliosFamily(config.protocol);
   sim::ReliableConfig mesh_config;
   mesh_config.enabled = reliable_on;
   sim::ReliableMesh mesh(&scheduler, &network, mesh_config);

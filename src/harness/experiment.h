@@ -48,10 +48,10 @@ enum class Protocol {
 
 const char* ProtocolName(Protocol p);
 
-/// Whether to put the reliable-delivery session layer (sim::ReliableMesh)
-/// under the protocol. kAuto engages it exactly when the fault plan can
-/// lose/duplicate/reorder messages, so fault-free runs keep the session
-/// layer fully out of the event stream.
+/// Override for the reliable-delivery session layer (sim::ReliableMesh),
+/// read only by perfbench's own deployment. RunExperiment ignores it: the
+/// mesh goes under RC and 2PC exactly when the fault plan has message
+/// faults, and never under the Helios family.
 enum class ReliableDelivery { kAuto, kOff, kOn };
 
 /// INTERNAL — the materialized runner input. New code should not fill this
@@ -120,6 +120,7 @@ struct ExperimentConfig {
   /// Empty = no faults, and the run is bit-identical to a build without
   /// the chaos layer.
   sim::FaultPlan fault_plan;
+  /// Ignored by RunExperiment (see ReliableDelivery); kept for perfbench.
   ReliableDelivery reliable = ReliableDelivery::kAuto;
 
   /// Gray-failure detection/reaction for the Helios-family protocols

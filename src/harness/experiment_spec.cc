@@ -152,10 +152,6 @@ Status ExperimentSpec::Validate() const {
         "shards > 1 requires a Helios protocol (helios0|helios1|helios2|"
         "heliosb): the cross-shard wait-base coupling leans on Rule 2");
   }
-  if (reliable != "auto" && reliable != "on" && reliable != "off") {
-    return Status::InvalidArgument("reliable must be auto|on|off (got '" +
-                                   reliable + "')");
-  }
   if (client_timeout < 0) {
     return Status::InvalidArgument("client_timeout must be >= 0");
   }
@@ -236,9 +232,6 @@ Result<ExperimentConfig> ExperimentSpec::ToConfig() const {
   cfg.preload = preload;
   cfg.check_serializability = check_serializability;
   cfg.fault_plan = fault_plan;
-  cfg.reliable = reliable == "on"    ? ReliableDelivery::kOn
-                 : reliable == "off" ? ReliableDelivery::kOff
-                                     : ReliableDelivery::kAuto;
   cfg.client_commit_timeout = client_timeout;
   cfg.client_max_retries = client_retries;
   cfg.trace.enabled = trace_enabled;
@@ -303,7 +296,6 @@ std::string ExperimentSpec::ToJson() const {
   w.Field("preload", preload);
   w.Field("protocol", std::string(ProtocolToken(protocol)));
   w.Field("read_only_fraction", read_only_fraction);
-  if (reliable != "auto") w.Field("reliable", reliable);
   if (rtt_estimate_ms.has_value()) {
     w.Key("rtt_estimate_ms");
     out += '[';
@@ -415,8 +407,6 @@ Result<ExperimentSpec> ExperimentSpec::FromJson(const std::string& json) {
       }
     } else if (key == "read_only_fraction") {
       st = json::ReadDouble(key, v, &spec.read_only_fraction);
-    } else if (key == "reliable") {
-      st = json::ReadString(key, v, &spec.reliable);
     } else if (key == "rtt_estimate_ms") {
       if (v.kind != json::Value::Kind::kArray || v.items.empty()) {
         st = json::WrongType(key, "a non-empty array of arrays");
@@ -515,7 +505,7 @@ bool operator==(const ExperimentSpec& a, const ExperimentSpec& b) {
          a.shards == b.shards && a.shard_by == b.shard_by &&
          a.preload == b.preload &&
          a.check_serializability == b.check_serializability &&
-         a.fault_plan == b.fault_plan && a.reliable == b.reliable &&
+         a.fault_plan == b.fault_plan &&
          a.client_timeout == b.client_timeout &&
          a.client_retries == b.client_retries &&
          a.trace_enabled == b.trace_enabled &&

@@ -101,10 +101,6 @@ struct ExperimentSpec {
   /// byte-identical to pre-chaos output.
   sim::FaultPlan fault_plan;
 
-  /// Reliable-delivery session layer under the protocol: "auto" (on
-  /// exactly when fault_plan has message faults), "on", or "off".
-  std::string reliable = "auto";
-
   /// Client commit timeout + bounded retry (docs/RECOVERY.md). 0 disables
   /// the timeout entirely (no timer scheduled); crash plans need it so
   /// clients whose requests a crashed datacenter swallowed make progress.
@@ -176,10 +172,6 @@ struct ExperimentSpec {
   ExperimentSpec& WithLoss(double p) { fault_plan.WithLoss(p); return *this; }
   ExperimentSpec& WithDuplication(double p) {
     fault_plan.WithDuplication(p);
-    return *this;
-  }
-  ExperimentSpec& WithReliable(std::string v) {
-    reliable = std::move(v);
     return *this;
   }
   ExperimentSpec& WithClientTimeout(Duration timeout, int retries = 3) {

@@ -324,10 +324,6 @@ void ShardedCluster::SetObservability(obs::TraceRecorder* trace,
   for (const auto& sc : shards_) sc->SetObservability(trace, metrics);
 }
 
-void ShardedCluster::SetReliableMesh(sim::ReliableMesh* mesh) {
-  for (const auto& sc : shards_) sc->SetReliableMesh(mesh);
-}
-
 void ShardedCluster::SetDatacenterDown(DcId dc, bool down) {
   if (down) {
     // The coordinator is co-located with the datacenter's shard nodes and

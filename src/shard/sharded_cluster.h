@@ -102,7 +102,6 @@ class ShardedCluster : public ProtocolCluster {
   void SetObservability(obs::TraceRecorder* trace,
                         obs::MetricsRegistry* metrics) override;
   void ExportMetrics(obs::MetricsRegistry* registry) const override;
-  void SetReliableMesh(sim::ReliableMesh* mesh) override;
   void SetDatacenterDown(DcId dc, bool down) override;
   void InjectStall(DcId dc, Duration pause) override;
   void InjectFsyncStall(DcId dc, Duration per_record,

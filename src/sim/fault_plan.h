@@ -172,7 +172,7 @@ struct FaultPlan {
 
   /// True if any link fault can ever drop/duplicate/reorder/delay a
   /// message. Decides whether the network engages fault sampling and
-  /// whether auto-mode reliable delivery turns on; a plan of timed
+  /// whether the baselines get reliable delivery; a plan of timed
   /// crash/partition events alone keeps the message path untouched.
   bool HasMessageFaults() const {
     for (const LinkFault& f : link_faults) {
@@ -192,8 +192,8 @@ struct FaultPlan {
 
   /// True if the plan contains any gray (slow-but-alive) degradation.
   /// Deliberately NOT part of HasMessageFaults(): gray faults are
-  /// deterministic, engage no fault RNG, and must not flip auto-mode
-  /// reliable delivery on.
+  /// deterministic, engage no fault RNG, and must not put the baselines
+  /// on reliable delivery.
   bool HasGrayFaults() const { return !gray_faults.empty(); }
 
   /// True if any gray fault acts on the message path (slow link or

@@ -20,39 +20,31 @@ Duration ReliableMesh::InitialRto(int from, int to) const {
 }
 
 void ReliableMesh::Send(int from, int to, std::function<void()> deliver) {
-  SendSized(from, to, 0, std::move(deliver));
-}
-
-void ReliableMesh::SendSized(int from, int to, size_t size_bytes,
-                             std::function<void()> deliver) {
   if (!config_.enabled) {
     // Strict passthrough: no session state, no acks, no extra events.
-    network_->SendSized(from, to, size_bytes, std::move(deliver));
+    network_->Send(from, to, std::move(deliver));
     return;
   }
   Channel& ch = Chan(from, to);
   const uint64_t seq = ch.next_seq++;
   Packet p;
   p.deliver = std::move(deliver);
-  p.size_bytes = size_bytes;
   p.attempts = 1;
   p.rto = InitialRto(from, to);
   p.last_tx = scheduler_->Now();
   const Duration rto = p.rto;
   ch.unacked.emplace(seq, std::move(p));
-  TransmitData(from, to, seq, size_bytes);
+  TransmitData(from, to, seq);
   ArmTimer(from, to, seq, rto);
 }
 
-void ReliableMesh::TransmitData(int from, int to, uint64_t seq,
-                                size_t size_bytes) {
+void ReliableMesh::TransmitData(int from, int to, uint64_t seq) {
   // The data packet "carries" the payload closure by reference: on arrival
   // the receiver fetches it from the sender's unacked map, which is safe
   // because the sender erases an entry only after a cumulative ack — and
   // acks are only generated after the first copy was accepted, at which
   // point every later copy is suppressed before the lookup.
-  network_->SendSized(from, to, size_bytes,
-                      [this, from, to, seq]() { OnData(from, to, seq); });
+  network_->Send(from, to, [this, from, to, seq]() { OnData(from, to, seq); });
 }
 
 void ReliableMesh::ArmTimer(int from, int to, uint64_t seq, Duration rto) {
@@ -77,7 +69,7 @@ void ReliableMesh::ArmTimer(int from, int to, uint64_t seq, Duration rto) {
         static_cast<Duration>(static_cast<double>(p.rto) * config_.backoff),
         config_.max_rto);
     const Duration next_rto = p.rto;
-    TransmitData(from, to, seq, p.size_bytes);
+    TransmitData(from, to, seq);
     ArmTimer(from, to, seq, next_rto);
   });
 }

@@ -1,14 +1,16 @@
-// Reliable-delivery session layer over the lossy simulated WAN.
+// Reliable-delivery session layer over the lossy simulated WAN, for the
+// lock-based baselines (Replicated Commit, 2PC/Paxos) only.
 //
 // sim::Network with an active FaultPlan loses, duplicates, and reorders
-// messages. Helios itself shrugs that off at the protocol level (the
-// timetable resends unacked log records every interval and Ingest is
-// idempotent), but the baselines' request/reply RPCs are not loss-tolerant:
-// one dropped Paxos reply wedges a closed-loop client forever. ReliableMesh
-// restores exactly-once, in-order delivery per directed datacenter pair the
-// way real stacks do — sequence numbers, cumulative acks, and timeout
-// retransmission with exponential backoff — so every protocol can run its
-// unmodified logic over a faulty network.
+// messages. Helios-family gossip does not use this layer: it is
+// anti-entropy (the timetable resends unacked log records every interval
+// and Ingest is idempotent), so it rides the faulty network bare. The
+// baselines' request/reply RPCs are not loss-tolerant: one dropped Paxos
+// reply wedges a closed-loop client forever. ReliableMesh restores
+// exactly-once, in-order delivery per directed datacenter pair the way
+// real stacks do — sequence numbers, cumulative acks, and timeout
+// retransmission with exponential backoff — so the baselines can run
+// their unmodified logic over a faulty network.
 //
 // Determinism contract: when disabled (the zero-fault default) every call
 // forwards straight to Network with no sequence numbers, no acks, and no
@@ -55,12 +57,10 @@ class ReliableMesh {
 
   bool enabled() const { return config_.enabled; }
 
-  /// Reliable counterparts of Network::Send / SendSized: `deliver` runs
-  /// exactly once at the receiver, in send order per directed pair, as
-  /// long as faults eventually relent (and max_attempts permits).
+  /// Reliable counterpart of Network::Send: `deliver` runs exactly once
+  /// at the receiver, in send order per directed pair, as long as faults
+  /// eventually relent (and max_attempts permits).
   void Send(int from, int to, std::function<void()> deliver);
-  void SendSized(int from, int to, size_t size_bytes,
-                 std::function<void()> deliver);
 
   /// Optional retransmit tracing: each resend becomes a net.retransmit
   /// span covering the timeout wait that triggered it.
@@ -72,14 +72,10 @@ class ReliableMesh {
   uint64_t gave_up() const { return gave_up_; }
 
  private:
-  /// One in-flight message. `deliver` and `size_bytes` are captured once
-  /// at Send time and reused verbatim by every retransmission: the
-  /// payload is a shared immutable EnvelopePtr inside the closure and the
-  /// size was computed by the sender's sizer on the first transmission,
-  /// so retries never re-encode or re-measure the message.
+  /// One in-flight message. `deliver` is captured once at Send time and
+  /// reused verbatim by every retransmission.
   struct Packet {
     std::function<void()> deliver;
-    size_t size_bytes = 0;
     int attempts = 0;
     Duration rto = 0;
     SimTime last_tx = 0;
@@ -98,7 +94,7 @@ class ReliableMesh {
     return channels_[static_cast<size_t>(from) * n_ + static_cast<size_t>(to)];
   }
   Duration InitialRto(int from, int to) const;
-  void TransmitData(int from, int to, uint64_t seq, size_t size_bytes);
+  void TransmitData(int from, int to, uint64_t seq);
   void ArmTimer(int from, int to, uint64_t seq, Duration rto);
   void OnData(int from, int to, uint64_t seq);
   void SendAck(int from, int to);

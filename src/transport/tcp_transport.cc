@@ -65,6 +65,14 @@ void TcpTransport::AcceptLoop() {
 
 void TcpTransport::SpawnReader(int fd) {
   std::lock_guard<std::mutex> lock(mu_);
+  // A connection accepted just before Shutdown() cleared inbound_fds_
+  // would get a reader nobody unblocks, and Shutdown() would join it
+  // forever. Shutdown() sets shutdown_ before it takes mu_, so checking
+  // it here under mu_ closes that window.
+  if (shutdown_.load()) {
+    ::close(fd);
+    return;
+  }
   inbound_fds_.push_back(fd);
   readers_.emplace_back([this, fd]() { ReadLoop(fd); });
 }

@@ -2,13 +2,14 @@
 //
 // Each grid cell runs a full harness experiment on the paper's Table 2
 // topology with a FaultPlan losing and duplicating messages on every
-// link and (in auto mode) the ReliableMesh session layer underneath, then
-// asserts the three invariants the chaos layer must preserve:
+// link, then asserts the invariants the chaos layer must preserve:
 //   - safety: the committed history stays conflict-serializable;
 //   - progress: every datacenter's clients keep committing;
 //   - visibility: the metrics snapshot shows the faults actually fired
-//     (drops, duplicates) and the session layer actually worked
-//     (retransmits, suppressed duplicates).
+//     (drops, duplicates, reorders), and the session layer is where it
+//     belongs: under RC and 2PC it retransmits and suppresses
+//     duplicates; Helios-family gossip rides the bare lossy network, so
+//     those runs export no reliable.* counter at all.
 // A final test locks in the sweep engine's determinism under chaos: the
 // aggregated JSON of a loss grid is bit-identical at --jobs=1 and
 // --jobs=4.
@@ -32,14 +33,14 @@ uint64_t CounterOr0(const obs::MetricsSnapshot& m, const std::string& name) {
   return c == nullptr ? 0 : c->value;
 }
 
-/// (protocol, loss, duplication): the loss x duplication x f grid, with f
-/// varied through the Helios protocol family (f = 0, 1, 2).
-class ChaosSweep : public ::testing::TestWithParam<
-                       std::tuple<Protocol, double, double>> {};
+bool IsBaseline(Protocol p) {
+  return p == Protocol::kReplicatedCommit || p == Protocol::kTwoPcPaxos;
+}
 
-TEST_P(ChaosSweep, SerializableWithProgressUnderLossAndDuplication) {
-  const auto [protocol, loss, dup] = GetParam();
-
+/// Runs `protocol` on Table 2 under `plan` and checks safety, per-DC
+/// progress and where the reliable session layer ran.
+void ExpectSerializableWithProgress(Protocol protocol,
+                                    const sim::FaultPlan& plan) {
   ExperimentSpec spec;
   spec.WithProtocol(protocol)
       .WithTopology("table2")
@@ -49,9 +50,8 @@ TEST_P(ChaosSweep, SerializableWithProgressUnderLossAndDuplication) {
       .WithDrain(Seconds(10))
       .WithSeed(42)
       .WithNumKeys(500)
-      .WithLoss(loss)
+      .WithFaultPlan(plan)
       .WithSerializabilityCheck();
-  if (dup > 0.0) spec.WithDuplication(dup);
   ASSERT_TRUE(spec.Validate().ok());
 
   auto cfg_or = spec.ToConfig();
@@ -70,14 +70,47 @@ TEST_P(ChaosSweep, SerializableWithProgressUnderLossAndDuplication) {
     EXPECT_GT(dc.committed, 0u) << dc.name;
   }
 
-  // Visibility: faults fired and the session layer handled them.
-  EXPECT_GT(CounterOr0(r.metrics, "net.fault_drops"), 0u);
-  EXPECT_GT(CounterOr0(r.metrics, "reliable.retransmits"), 0u);
-  EXPECT_EQ(CounterOr0(r.metrics, "reliable.gave_up"), 0u);
-  if (dup > 0.0) {
-    EXPECT_GT(CounterOr0(r.metrics, "net.fault_duplicates"), 0u);
-    EXPECT_GT(CounterOr0(r.metrics, "reliable.duplicates_suppressed"), 0u);
+  // Visibility: the faults fired...
+  bool dup = false;
+  bool reorder = false;
+  for (const sim::LinkFault& lf : plan.link_faults) {
+    dup = dup || lf.duplicate > 0.0;
+    reorder = reorder || lf.reorder > 0.0;
   }
+  EXPECT_GT(CounterOr0(r.metrics, "net.fault_drops"), 0u);
+  if (dup) {
+    EXPECT_GT(CounterOr0(r.metrics, "net.fault_duplicates"), 0u);
+  }
+  if (reorder) {
+    EXPECT_GT(CounterOr0(r.metrics, "net.fault_reorders"), 0u);
+  }
+
+  // ...and the session layer ran exactly under the baselines.
+  if (IsBaseline(protocol)) {
+    EXPECT_GT(CounterOr0(r.metrics, "reliable.retransmits"), 0u);
+    EXPECT_EQ(CounterOr0(r.metrics, "reliable.gave_up"), 0u);
+    if (dup) {
+      EXPECT_GT(CounterOr0(r.metrics, "reliable.duplicates_suppressed"), 0u);
+    }
+  } else {
+    for (const auto& c : r.metrics.counters) {
+      EXPECT_NE(c.name.rfind("reliable.", 0), 0u)
+          << c.name << " exported by a Helios-family run";
+    }
+  }
+}
+
+/// (protocol, loss, duplication): the loss x duplication x f grid, with f
+/// varied through the Helios protocol family (f = 0, 1, 2).
+class ChaosSweep : public ::testing::TestWithParam<
+                       std::tuple<Protocol, double, double>> {};
+
+TEST_P(ChaosSweep, SerializableWithProgressUnderLossAndDuplication) {
+  const auto [protocol, loss, dup] = GetParam();
+  sim::FaultPlan plan;
+  plan.WithLoss(loss);
+  if (dup > 0.0) plan.WithDuplication(dup);
+  ExpectSerializableWithProgress(protocol, plan);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -86,6 +119,8 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(Protocol::kHelios0, 0.10, 0.05),
         std::make_tuple(Protocol::kHelios1, 0.10, 0.05),
         std::make_tuple(Protocol::kHelios2, 0.05, 0.0),
+        std::make_tuple(Protocol::kHeliosB, 0.10, 0.05),
+        std::make_tuple(Protocol::kMessageFutures, 0.10, 0.05),
         std::make_tuple(Protocol::kReplicatedCommit, 0.10, 0.05),
         std::make_tuple(Protocol::kTwoPcPaxos, 0.10, 0.05)),
     [](const ::testing::TestParamInfo<std::tuple<Protocol, double, double>>&
@@ -100,6 +135,20 @@ INSTANTIATE_TEST_SUITE_P(
               std::to_string(static_cast<int>(std::get<2>(info.param) * 100));
       return name;
     });
+
+// The same invariants with reordering on top: gossip on the bare network
+// carries no per-link order, and none of Helios's dependencies need one
+// (DESIGN.md §4, the ordering audit).
+TEST(ChaosTest, Helios1SerializableWithProgressUnderReordering) {
+  sim::LinkFault lf;
+  lf.loss = 0.05;
+  lf.duplicate = 0.03;
+  lf.reorder = 0.2;
+  lf.reorder_window = Millis(20);
+  sim::FaultPlan plan;
+  plan.AddLinkFault(lf);
+  ExpectSerializableWithProgress(Protocol::kHelios1, plan);
+}
 
 // Timed chaos through the spec: a crash/recover and a partition/heal
 // scheduled by the fault plan, plus a loss window that ends mid-run.
@@ -143,25 +192,20 @@ TEST(ChaosTest, TimedCrashPartitionAndLossWindowThroughSpec) {
   EXPECT_GT(CounterOr0(r.metrics, "net.fault_drops"), 0u);
 }
 
-// The spec JSON round-trips the whole chaos configuration, so sweep
-// documents echo exactly what ran.
-TEST(ChaosTest, SpecJsonRoundTripsFaultPlanAndReliable) {
+// The spec JSON round-trips the whole fault plan, so sweep documents
+// echo exactly what ran.
+TEST(ChaosTest, SpecJsonRoundTripsFaultPlan) {
   ExperimentSpec spec;
-  spec.WithProtocol(Protocol::kHelios1)
-      .WithLoss(0.1)
-      .WithDuplication(0.05)
-      .WithReliable("on");
+  spec.WithProtocol(Protocol::kHelios1).WithLoss(0.1).WithDuplication(0.05);
   spec.fault_plan.AddCrash(Seconds(2), 1);
   const std::string json = spec.ToJson();
   EXPECT_NE(json.find("\"fault_plan\""), std::string::npos);
-  EXPECT_NE(json.find("\"reliable\""), std::string::npos);
   auto parsed = ExperimentSpec::FromJson(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_TRUE(parsed.value() == spec);
-  // Defaults are omitted: a spec without chaos mentions neither key.
+  // Defaults are omitted: a spec without chaos has no fault plan key.
   ExperimentSpec plain;
   EXPECT_EQ(plain.ToJson().find("fault_plan"), std::string::npos);
-  EXPECT_EQ(plain.ToJson().find("reliable"), std::string::npos);
 }
 
 // Sweep determinism under chaos: the aggregated JSON of a loss-grid sweep

@@ -1,7 +1,7 @@
 // Randomized failure injection: datacenters crash and recover at random
 // times while contended traffic runs — optionally with probabilistic
 // message loss and duplication layered on every WAN link (the chaos
-// layer's FaultPlan plus the ReliableMesh session underneath). Whatever
+// layer's FaultPlan; gossip rides the lossy network bare). Whatever
 // the schedule, the committed history must stay conflict-serializable,
 // surviving replicas must agree, and the cluster must make progress
 // whenever at most f datacenters are down.
@@ -18,7 +18,6 @@
 #include "harness/topology.h"
 #include "sim/fault_plan.h"
 #include "sim/network.h"
-#include "sim/reliable.h"
 #include "sim/scheduler.h"
 
 namespace helios::core {
@@ -54,8 +53,6 @@ TEST_P(FailureInjectionSweep, SerializableThroughRandomOutages) {
   cfg.grace_time = Millis(400);
   cfg.log_interval = Millis(5);
   HeliosCluster cluster(&scheduler, &network, cfg);
-  sim::ReliableMesh mesh(&scheduler, &network);
-  if (loss > 0.0) cluster.SetReliableMesh(&mesh);
   for (int k = 0; k < keys; ++k) {
     cluster.LoadInitialAll("key" + std::to_string(k), "init");
   }
@@ -131,15 +128,10 @@ TEST_P(FailureInjectionSweep, SerializableThroughRandomOutages) {
   *loop = nullptr;
   *inject = nullptr;
 
-  // Lossy cells commit far less: every dropped log record head-of-line
-  // blocks its channel for an RTO (~2x RTT), so the bar is progress, not
-  // throughput.
-  EXPECT_GT(*commits, loss > 0.0 ? 20u : 200u)
-      << "cluster made too little progress";
+  EXPECT_GT(*commits, 200u) << "cluster made too little progress";
   if (loss > 0.0) {
     EXPECT_GT(network.fault_drops(), 0u);
     EXPECT_GT(network.fault_duplicates(), 0u);
-    EXPECT_GT(mesh.duplicates_suppressed(), 0u);
   }
   if (f > 0) {
     EXPECT_GT(*commits_during_outage, 0u)
@@ -174,8 +166,8 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// Lossy links on top of the outages: a smaller seed set, since each cell
-// also exercises the retransmission machinery.
+// Lossy links on top of the outages: a smaller seed set. Lost gossip is
+// resent by the next anti-entropy round, so the progress bar is the same.
 INSTANTIATE_TEST_SUITE_P(
     LossyGrid, FailureInjectionSweep,
     ::testing::Combine(::testing::Values(1, 2), ::testing::Values(42u),

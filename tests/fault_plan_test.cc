@@ -152,7 +152,7 @@ TEST(GrayFaultTest, JsonRoundTripPreservesEveryKind) {
 
 TEST(GrayFaultTest, GrayFaultsDoNotCountAsMessageFaults) {
   // Gray degradations are deterministic: they must neither engage the
-  // fault RNG nor flip auto-mode reliable delivery on.
+  // fault RNG nor put the baselines on reliable delivery.
   FaultPlan plan;
   plan.AddSlowLink(0, kMaxSimTime, 0, 1, 10.0);
   EXPECT_FALSE(plan.HasMessageFaults());

@@ -647,5 +647,59 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// ---------------------------------------------------------------------------
+// Catch-up under loss: a recovered Helios datacenter pulls the suffix it
+// missed over a lossy WAN. Gossip and the catch-up exchange ride the bare
+// network, so a lost request or reply costs one `catchup_retry_interval`
+// and the next round completes. Catch-up therefore ends because the peers
+// answered, not because it ran out of attempts: the recorded duration
+// stays below `catchup_max_attempts x catchup_retry_interval` per shard.
+
+class CatchupUnderLoss : public ::testing::TestWithParam<int> {};
+
+TEST_P(CatchupUnderLoss, CompletesBeforeExhaustingAttempts) {
+  const int shards = GetParam();
+  sim::FaultPlan plan;
+  plan.WithLoss(0.02);
+  plan.AddCrash(Seconds(2), 1).AddRecover(Seconds(4), 1);
+  harness::ExperimentSpec spec;
+  spec.WithProtocol(harness::Protocol::kHelios1)
+      .WithTopology("table2")
+      .WithClients(10)
+      .WithWarmup(Seconds(1))
+      .WithMeasure(Seconds(6))
+      .WithSeed(3)
+      .WithNumKeys(500)
+      .WithShards(shards)
+      .WithFaultPlan(plan)
+      .WithClientTimeout(Seconds(2), /*retries=*/10)
+      .WithSerializabilityCheck();
+  ASSERT_TRUE(spec.Validate().ok());
+
+  auto cfg_or = spec.ToConfig();
+  ASSERT_TRUE(cfg_or.ok()) << cfg_or.status().ToString();
+  harness::ExperimentConfig cfg = std::move(cfg_or).value();
+  cfg.trace.enabled = true;  // For the metrics snapshot.
+  const harness::ExperimentResult r = harness::RunExperiment(cfg);
+
+  ASSERT_TRUE(r.serializability.has_value());
+  EXPECT_TRUE(r.serializability->ok()) << r.serializability->ToString();
+  const auto* recoveries = r.metrics.FindCounter("recovery.recoveries");
+  ASSERT_NE(recoveries, nullptr) << "recovery counters not exported";
+  EXPECT_GT(recoveries->value, 0u);
+  const auto* duration = r.metrics.FindCounter("recovery.duration_us");
+  ASSERT_NE(duration, nullptr);
+  // The counter sums the shard nodes' catch-ups.
+  const core::HeliosConfig defaults;
+  const uint64_t exhausted = static_cast<uint64_t>(
+      shards * defaults.catchup_max_attempts * defaults.catchup_retry_interval);
+  EXPECT_LT(duration->value, exhausted);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, CatchupUnderLoss, ::testing::Values(1, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "shards" + std::to_string(info.param);
+                         });
+
 }  // namespace
 }  // namespace helios

@@ -127,10 +127,6 @@ int main(int argc, char** argv) {
   flags.DefineString("losses", "",
                      "comma-separated loss-probability list; builds a grid "
                      "(overrides --loss)");
-  flags.DefineString("reliable", "auto",
-                     "reliable-delivery session layer: auto|on|off "
-                     "(auto = on exactly when the fault plan can drop or "
-                     "duplicate messages)");
   cli::AddCommonFlags(&flags, /*default_jobs=*/1);
   flags.DefineString("trace_out", "",
                      "write a Chrome trace_event JSON of the run here "
@@ -250,7 +246,6 @@ int main(int argc, char** argv) {
   if (flags.GetDouble("dup") > 0.0) {
     base.WithDuplication(flags.GetDouble("dup"));
   }
-  base.WithReliable(flags.GetString("reliable"));
 
   // Grid axes: protocols x seeds (each defaults to a single value).
   const std::string protocols_csv = flags.GetString("protocols").empty()
