@@ -170,16 +170,18 @@ class ProtocolCluster {
   // --- Checker observation points (src/check) ------------------------------
   //
   // Read-only end-of-run surfaces the invariant oracles inspect: the
-  // per-datacenter durable journal, the latest version of every key in the
-  // replica's store, the down flag, and the accumulated recovery totals.
-  // Defaults are "nothing to observe" so deployments without the surfaces
-  // (e.g. the live transport cluster) need no changes.
+  // per-datacenter durable journals, the latest version of every key in
+  // the replica's store, the down flag, and the accumulated recovery
+  // totals. Defaults are "nothing to observe" so deployments without the
+  // surfaces (e.g. the live transport cluster) need no changes.
 
-  /// Datacenter `dc`'s durable in-memory WAL journal, or null when the
-  /// deployment has none. The journal outlives crashes, so it is valid
-  /// even for a datacenter that is down at the end of the run.
-  virtual const wal::MemoryWal* wal_journal(DcId /*dc*/) const {
-    return nullptr;
+  /// Datacenter `dc`'s durable in-memory WAL journals, one per shard in
+  /// shard order: a single journal for an unsharded deployment, none when
+  /// the deployment keeps no WAL. Journals outlive crashes, so they are
+  /// valid even for a datacenter that is down at the end of the run.
+  virtual std::vector<const wal::MemoryWal*> wal_journals(
+      DcId /*dc*/) const {
+    return {};
   }
 
   /// Visits the latest installed version of every key in `dc`'s store.

@@ -78,8 +78,8 @@ class BaselineCluster : public ProtocolCluster {
   bool datacenter_down(DcId dc) const override { return state(dc).down; }
 
   // Checker observation points (src/check).
-  const wal::MemoryWal* wal_journal(DcId dc) const override {
-    return wals_[static_cast<size_t>(dc)].get();
+  std::vector<const wal::MemoryWal*> wal_journals(DcId dc) const override {
+    return {wals_[static_cast<size_t>(dc)].get()};
   }
   void SnapshotStore(
       DcId dc, const std::function<void(const Key&, const VersionedValue&)>&

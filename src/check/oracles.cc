@@ -160,19 +160,18 @@ Status CheckShardAtomicityOracle(const ExperimentResult& result) {
   if (cap == nullptr) {
     return Status::FailedPrecondition("no captured WAL journals");
   }
-  if (cap->shards <= 1) return Status::Ok();
 
   // Within one datacenter, every shard that finalizes a transaction must
   // finalize it the same way. Single-shard transactions can only appear
   // in one shard's journal (the TxnId residue scheme keeps id spaces
   // disjoint), so any id seen by two shards is a cross-shard commit.
-  const int n = static_cast<int>(cap->stores.size());
-  for (int dc = 0; dc < n; ++dc) {
+  for (size_t dc = 0; dc < cap->journals.size(); ++dc) {
+    const std::vector<wal::WalContents>& journals = cap->journals[dc];
+    if (journals.size() <= 1) continue;  // Unsharded: nothing to compare.
     std::unordered_map<TxnId, ShardOutcome, TxnIdHash> outcomes;
-    for (int s = 0; s < cap->shards; ++s) {
-      const size_t j = static_cast<size_t>(dc * cap->shards + s);
-      if (j >= cap->shard_wals.size() || !cap->shard_wal_present[j]) continue;
-      for (const rdict::LogRecord& r : cap->shard_wals[j].records) {
+    for (int s = 0; s < static_cast<int>(journals.size()); ++s) {
+      for (const rdict::LogRecord& r :
+           journals[static_cast<size_t>(s)].records) {
         if (r.type != rdict::RecordType::kFinished || r.body == nullptr) {
           continue;
         }
@@ -209,18 +208,19 @@ Status CheckStagedResolutionOracle(const ExperimentResult& result) {
   if (cap == nullptr) {
     return Status::FailedPrecondition("no captured coordinator status");
   }
-  if (cap->shards <= 1) return Status::Ok();
+  // Every datacenter journals once per shard.
+  const size_t shards =
+      cap->journals.empty() ? 0 : cap->journals.front().size();
+  if (shards <= 1) return Status::Ok();
 
   // Global view of finalize outcomes across every (datacenter, shard)
   // journal — slice records replicate, and a remote replica finalizing
   // against the coordinator's durable decision is just as much a bug.
   std::unordered_map<TxnId, ShardOutcome, TxnIdHash> outcomes;
-  const int n = static_cast<int>(cap->stores.size());
-  for (int dc = 0; dc < n; ++dc) {
-    for (int s = 0; s < cap->shards; ++s) {
-      const size_t j = static_cast<size_t>(dc * cap->shards + s);
-      if (j >= cap->shard_wals.size() || !cap->shard_wal_present[j]) continue;
-      for (const rdict::LogRecord& r : cap->shard_wals[j].records) {
+  for (const std::vector<wal::WalContents>& journals : cap->journals) {
+    for (int s = 0; s < static_cast<int>(journals.size()); ++s) {
+      for (const rdict::LogRecord& r :
+           journals[static_cast<size_t>(s)].records) {
         if (r.type != rdict::RecordType::kFinished || r.body == nullptr) {
           continue;
         }
@@ -279,7 +279,7 @@ Status CheckStagedResolutionOracle(const ExperimentResult& result) {
   // Every client-observed cross-shard commit (TxnId residue 0 in the
   // seq-partition scheme) must have reached COMMITTED at its origin — the
   // durable flip happens before the client reply.
-  const uint64_t stride = static_cast<uint64_t>(cap->shards) + 1;
+  const uint64_t stride = static_cast<uint64_t>(shards) + 1;
   for (const SessionLog& session : cap->sessions) {
     for (const SessionEvent& ev : session.events) {
       if (ev.kind != SessionEvent::Kind::kCommit || !ev.committed) continue;
@@ -310,24 +310,6 @@ bool IsCommittedFinished(const rdict::LogRecord& r) {
          r.body != nullptr;
 }
 
-/// The durable journals of one datacenter: the flat per-DC journal for
-/// unsharded captures, or the datacenter's per-shard journals (indexed
-/// dc * shards + s) for sharded ones. Exactly one of the two sources is
-/// populated per capture, so no journal is ever double-counted.
-std::vector<const wal::WalContents*> JournalsFor(const RunCapture& cap,
-                                                 int dc) {
-  std::vector<const wal::WalContents*> out;
-  const size_t i = static_cast<size_t>(dc);
-  if (i < cap.wals.size() && cap.wal_present[i]) out.push_back(&cap.wals[i]);
-  for (int s = 0; s < cap.shards; ++s) {
-    const size_t j = static_cast<size_t>(dc * cap.shards + s);
-    if (j < cap.shard_wals.size() && cap.shard_wal_present[j]) {
-      out.push_back(&cap.shard_wals[j]);
-    }
-  }
-  return out;
-}
-
 Status CheckExactlyOnceOracle(const ExperimentSpec& spec,
                               const ExperimentResult& result) {
   const RunCapture* cap = Capture(result);
@@ -341,18 +323,15 @@ Status CheckExactlyOnceOracle(const ExperimentSpec& spec,
   // datacenter: a cross-shard transaction legitimately has one committed
   // slice record in each participating shard's journal, always with the
   // same version_ts — which the cross-journal agreement check enforces.
-  const int n = static_cast<int>(cap->wals.size());
-  std::vector<std::vector<const wal::WalContents*>> journals(
-      static_cast<size_t>(n));
+  const int n = static_cast<int>(cap->journals.size());
   std::vector<std::unordered_set<TxnId, TxnIdHash>> journaled(
       static_cast<size_t>(n));
   std::unordered_map<TxnId, std::pair<Timestamp, int>, TxnIdHash> agreed;
   for (int dc = 0; dc < n; ++dc) {
     const size_t i = static_cast<size_t>(dc);
-    journals[i] = JournalsFor(*cap, dc);
-    for (const wal::WalContents* wal : journals[i]) {
+    for (const wal::WalContents& wal : cap->journals[i]) {
       std::unordered_set<TxnId, TxnIdHash> in_this_journal;
-      for (const rdict::LogRecord& r : wal->records) {
+      for (const rdict::LogRecord& r : wal.records) {
         if (!IsCommittedFinished(r)) continue;
         if (!in_this_journal.insert(r.body->id).second) {
           return Status::FailedPrecondition(
@@ -403,7 +382,9 @@ Status CheckExactlyOnceOracle(const ExperimentSpec& spec,
       const DcId authority =
           two_pc ? spec.two_pc_coordinator : ev.txn.origin;
       const size_t ai = static_cast<size_t>(authority);
-      if (authority < 0 || authority >= n || journals[ai].empty()) continue;
+      if (authority < 0 || authority >= n || cap->journals[ai].empty()) {
+        continue;
+      }
       if (journaled[ai].count(ev.txn) == 0) {
         return Status::FailedPrecondition(
             "durability violation: committed txn " + ev.txn.ToString() +
@@ -422,11 +403,10 @@ Status CheckWalReplayOracle(const ExperimentResult& result) {
   if (cap == nullptr) {
     return Status::FailedPrecondition("no captured WAL journals");
   }
-  const int n = static_cast<int>(cap->wals.size());
+  const int n = static_cast<int>(cap->journals.size());
   for (int dc = 0; dc < n; ++dc) {
     const size_t i = static_cast<size_t>(dc);
-    const std::vector<const wal::WalContents*> journals =
-        JournalsFor(*cap, dc);
+    const std::vector<wal::WalContents>& journals = cap->journals[i];
     if (journals.empty()) continue;
     if (cap->dc_down[i]) continue;  // Crashed at end: store is amnesiac.
 
@@ -438,8 +418,8 @@ Status CheckWalReplayOracle(const ExperimentResult& result) {
       const Value* value = nullptr;
     };
     std::map<Key, Latest> replay;
-    for (const wal::WalContents* wal : journals) {
-      for (const rdict::LogRecord& r : wal->records) {
+    for (const wal::WalContents& wal : journals) {
+      for (const rdict::LogRecord& r : wal.records) {
         if (!IsCommittedFinished(r)) continue;
         const Version v{r.version_ts, r.body->id};
         for (const WriteEntry& w : r.body->write_set) {

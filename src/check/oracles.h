@@ -58,7 +58,7 @@ namespace helios::check {
 struct OracleOptions {
   bool serializability = true;
   bool sessions = true;
-  /// Sharded captures only; pass trivially when capture->shards == 1.
+  /// Sharded captures only; pass trivially with one journal per datacenter.
   bool shard_atomicity = true;
   bool staged_resolution = true;
   bool exactly_once = true;

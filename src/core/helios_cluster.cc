@@ -1,5 +1,6 @@
 #include "core/helios_cluster.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -184,82 +185,18 @@ void HeliosCluster::SetObservability(obs::TraceRecorder* trace,
 }
 
 void HeliosCluster::ExportMetrics(obs::MetricsRegistry* registry) const {
-  const NodeCounters total = AggregateCounters();
-  registry->counter("node.read_requests").Set(total.read_requests);
-  registry->counter("node.commit_requests").Set(total.commit_requests);
-  registry->counter("node.commits").Set(total.commits);
-  registry->counter("node.aborts_on_request").Set(total.aborts_on_request);
-  registry->counter("node.aborts_by_remote").Set(total.aborts_by_remote);
-  registry->counter("node.aborts_liveness").Set(total.aborts_liveness);
-  registry->counter("node.records_ingested").Set(total.records_ingested);
-  registry->counter("node.envelopes_sent").Set(total.envelopes_sent);
-  registry->counter("node.refusals_issued").Set(total.refusals_issued);
-  registry->counter("node.read_only_txns").Set(total.read_only_txns);
+  ExportNodeMetrics({this}, registry);
   // Protocol-neutral aliases so cross-protocol comparisons can key on the
   // same names the baselines export.
+  const NodeCounters total = AggregateCounters();
   registry->counter("protocol.commits").Set(total.commits);
-  registry->counter("protocol.aborts")
-      .Set(total.aborts_on_request + total.aborts_by_remote +
-           total.aborts_liveness);
+  registry->counter("protocol.aborts").Set(total.total_aborts());
   ExportRecoveryMetrics(registry);
-  for (DcId dc = 0; dc < config_.num_datacenters; ++dc) {
-    const std::string prefix = "node.dc" + std::to_string(dc);
-    registry->gauge(prefix + ".pt_pool").Set(
-        static_cast<double>(node(dc).pt_pool_size()));
-    registry->gauge(prefix + ".ept_pool").Set(
-        static_cast<double>(node(dc).ept_pool_size()));
-    registry->gauge(prefix + ".service_busy_us")
-        .Set(static_cast<double>(node(dc).service_queue().total_busy()));
-  }
-  // Gated on the health config so runs without the subsystem keep their
-  // pre-existing metrics key set byte for byte.
-  if (config_.health.enabled) {
-    registry->counter("health.suspicions").Set(total.suspicions);
-    registry->counter("health.readmissions").Set(total.readmissions);
-    registry->counter("health.suspicion_refusals")
-        .Set(total.suspicion_refusals);
-    registry->counter("health.degraded_commits").Set(total.degraded_commits);
-    registry->counter("health.hedged_pulls").Set(total.hedged_pulls);
-    for (DcId dc = 0; dc < config_.num_datacenters; ++dc) {
-      const std::string prefix = "health.dc" + std::to_string(dc);
-      double suspected = 0.0;
-      for (DcId peer = 0; peer < config_.num_datacenters; ++peer) {
-        if (peer == dc) continue;
-        registry->gauge(prefix + ".phi.dc" + std::to_string(peer))
-            .Set(node(dc).HealthPhi(peer));
-        if (node(dc).Suspects(peer)) suspected += 1.0;
-      }
-      registry->gauge(prefix + ".suspected").Set(suspected);
-    }
-  }
 }
 
 NodeCounters HeliosCluster::AggregateCounters() const {
   NodeCounters total;
-  for (const auto& node : nodes_) {
-    const NodeCounters& c = node->counters();
-    total.read_requests += c.read_requests;
-    total.commit_requests += c.commit_requests;
-    total.commits += c.commits;
-    total.aborts_on_request += c.aborts_on_request;
-    total.aborts_by_remote += c.aborts_by_remote;
-    total.aborts_liveness += c.aborts_liveness;
-    total.records_ingested += c.records_ingested;
-    total.envelopes_sent += c.envelopes_sent;
-    total.refusals_issued += c.refusals_issued;
-    total.read_only_txns += c.read_only_txns;
-    total.suspicions += c.suspicions;
-    total.readmissions += c.readmissions;
-    total.suspicion_refusals += c.suspicion_refusals;
-    total.degraded_commits += c.degraded_commits;
-    total.hedged_pulls += c.hedged_pulls;
-    total.staged_requests += c.staged_requests;
-    total.staged_waits += c.staged_waits;
-    total.staged_prepared += c.staged_prepared;
-    total.staged_commits += c.staged_commits;
-    total.staged_aborts += c.staged_aborts;
-    total.staged_resolved += c.staged_resolved;
-  }
+  for (const auto& node : nodes_) total += node->counters();
   return total;
 }
 
@@ -288,39 +225,59 @@ Result<double> HeliosCluster::ReplanOffsetsFromEstimates(DcId reference) {
   return lp::AverageLatency(mao.value());
 }
 
-Result<double> HeliosCluster::ReplanOffsetsExcluding(DcId suspect,
-                                                     DcId reference) {
-  if (suspect < 0 || suspect >= config_.num_datacenters) {
-    return Status::InvalidArgument("suspect out of range");
-  }
-  const RttEstimator* estimator = node(reference).rtt_estimator();
-  if (estimator == nullptr) {
-    return Status::FailedPrecondition("estimate_rtts is not enabled");
-  }
-  if (!estimator->MatrixComplete()) {
-    return Status::Unavailable("RTT matrix not yet complete");
-  }
-  const lp::RttMatrix matrix = estimator->MatrixMs();
-  auto mao = lp::SolveMaoExcluding(matrix, suspect);
-  if (!mao.ok()) return mao.status();
-  const auto offsets_ms = lp::CommitOffsetsFromLatencies(matrix, mao.value());
-  for (DcId dc = 0; dc < config_.num_datacenters; ++dc) {
-    std::vector<Duration> row(static_cast<size_t>(config_.num_datacenters), 0);
-    for (DcId x = 0; x < config_.num_datacenters; ++x) {
-      if (x != dc) {
-        row[static_cast<size_t>(x)] =
-            static_cast<Duration>(offsets_ms[dc][x] * 1000.0);
-      }
+void ExportNodeMetrics(const std::vector<const HeliosCluster*>& shards,
+                       obs::MetricsRegistry* registry) {
+  NodeCounters total;
+  for (const HeliosCluster* sc : shards) total += sc->AggregateCounters();
+  registry->counter("node.read_requests").Set(total.read_requests);
+  registry->counter("node.commit_requests").Set(total.commit_requests);
+  registry->counter("node.commits").Set(total.commits);
+  registry->counter("node.aborts_on_request").Set(total.aborts_on_request);
+  registry->counter("node.aborts_by_remote").Set(total.aborts_by_remote);
+  registry->counter("node.aborts_liveness").Set(total.aborts_liveness);
+  registry->counter("node.records_ingested").Set(total.records_ingested);
+  registry->counter("node.envelopes_sent").Set(total.envelopes_sent);
+  registry->counter("node.refusals_issued").Set(total.refusals_issued);
+  registry->counter("node.read_only_txns").Set(total.read_only_txns);
+  const HeliosConfig& config = shards.front()->config();
+  for (DcId dc = 0; dc < config.num_datacenters; ++dc) {
+    double pt = 0.0, ept = 0.0, busy = 0.0;
+    for (const HeliosCluster* sc : shards) {
+      pt += static_cast<double>(sc->node(dc).pt_pool_size());
+      ept += static_cast<double>(sc->node(dc).ept_pool_size());
+      busy += static_cast<double>(sc->node(dc).service_queue().total_busy());
     }
-    node(dc).SetCommitOffsetRow(std::move(row));
+    const std::string prefix = "node.dc" + std::to_string(dc);
+    registry->gauge(prefix + ".pt_pool").Set(pt);
+    registry->gauge(prefix + ".ept_pool").Set(ept);
+    registry->gauge(prefix + ".service_busy_us").Set(busy);
   }
-  // Average over the healthy quorum: the suspect's (feasibility-floor)
-  // latency is not a promise anyone is waiting on.
-  double sum = 0.0;
-  for (DcId dc = 0; dc < config_.num_datacenters; ++dc) {
-    if (dc != suspect) sum += mao.value()[static_cast<size_t>(dc)];
+  // Gated on the health config so runs without the subsystem keep their
+  // pre-existing metrics key set byte for byte.
+  if (!config.health.enabled) return;
+  registry->counter("health.suspicions").Set(total.suspicions);
+  registry->counter("health.readmissions").Set(total.readmissions);
+  registry->counter("health.suspicion_refusals").Set(total.suspicion_refusals);
+  registry->counter("health.degraded_commits").Set(total.degraded_commits);
+  registry->counter("health.hedged_pulls").Set(total.hedged_pulls);
+  for (DcId dc = 0; dc < config.num_datacenters; ++dc) {
+    const std::string prefix = "health.dc" + std::to_string(dc);
+    double suspected = 0.0;
+    for (DcId peer = 0; peer < config.num_datacenters; ++peer) {
+      if (peer == dc) continue;
+      // Seeded with the first shard's value, so a single cluster's phi
+      // passes through untouched.
+      double phi = shards.front()->node(dc).HealthPhi(peer);
+      bool suspects = false;
+      for (const HeliosCluster* sc : shards) {
+        phi = std::max(phi, sc->node(dc).HealthPhi(peer));
+        suspects = suspects || sc->node(dc).Suspects(peer);
+      }
+      registry->gauge(prefix + ".phi.dc" + std::to_string(peer)).Set(phi);
+      if (suspects) suspected += 1.0;
+    }
+    registry->gauge(prefix + ".suspected").Set(suspected);
   }
-  return sum / static_cast<double>(config_.num_datacenters - 1);
 }
 
 std::unique_ptr<HeliosCluster> MakeMessageFuturesCluster(

@@ -48,7 +48,8 @@ class HeliosCluster : public ProtocolCluster {
   void SetObservability(obs::TraceRecorder* trace,
                         obs::MetricsRegistry* metrics) override;
 
-  /// Dumps the aggregated NodeCounters (and pool sizes) into `registry`.
+  /// Dumps ExportNodeMetrics for this cluster alone, the `protocol.*`
+  /// aliases and the recovery totals into `registry`.
   void ExportMetrics(obs::MetricsRegistry* registry) const override;
 
   /// Full datacenter outage: the network drops its traffic and the node
@@ -82,8 +83,8 @@ class HeliosCluster : public ProtocolCluster {
   }
 
   // Checker observation points (src/check).
-  const wal::MemoryWal* wal_journal(DcId dc) const override {
-    return wals_[static_cast<size_t>(dc)].get();
+  std::vector<const wal::MemoryWal*> wal_journals(DcId dc) const override {
+    return {&wal(dc)};
   }
   void SnapshotStore(
       DcId dc, const std::function<void(const Key&, const VersionedValue&)>&
@@ -112,13 +113,6 @@ class HeliosCluster : public ProtocolCluster {
   /// (raise-offsets first, then lower). Returns the estimated matrix's
   /// MAO average latency (ms).
   Result<double> ReplanOffsetsFromEstimates(DcId reference = 0);
-
-  /// Variant for a suspected gray-failed datacenter: replans with the
-  /// suspect's RTT constraints dropped (lp::SolveMaoExcluding), so the
-  /// healthy quorum's offsets stop pricing in the straggler while every
-  /// pair — suspect included — still satisfies Rule 1. Returns the MAO
-  /// average latency (ms) over the healthy datacenters.
-  Result<double> ReplanOffsetsExcluding(DcId suspect, DcId reference = 0);
 
   /// Installs a function that computes an envelope's on-wire size (see
   /// wire::EncodedEnvelopeSize). When set, peer messages go through
@@ -172,6 +166,15 @@ class HeliosCluster : public ProtocolCluster {
   obs::MetricsRegistry* metrics_ = nullptr;
   EnvelopeSizer envelope_sizer_;
 };
+
+/// Exports the node-level metrics of a Helios deployment made of `shards`
+/// (one cluster per shard, in shard order; an unsharded deployment passes
+/// itself alone): the ten `node.*` counters summed over every node, the
+/// `node.dc<i>.{pt_pool,ept_pool,service_busy_us}` gauges summed across
+/// shards, and, when health is enabled, the `health.*` counters and
+/// gauges (a datacenter's phi for a peer is the maximum across shards).
+void ExportNodeMetrics(const std::vector<const HeliosCluster*>& shards,
+                       obs::MetricsRegistry* registry);
 
 /// Convenience: a Message Futures deployment is a Helios cluster running
 /// the Message Futures commit rule with no commit offsets and f = 0.

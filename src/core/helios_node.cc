@@ -456,16 +456,9 @@ bool HeliosNode::AdmitPreparing(const TxnId& id, const TxnBodyPtr& body,
   }
 
   // Line 10: append the preparing record and pool the transaction.
-  rdict::LogRecord rec;
-  rec.type = rdict::RecordType::kPreparing;
-  rec.ts = q;
-  rec.origin = id_;
-  rec.body = body;
-  const Status append = log_.AppendLocal(rec);
+  const Status append = AppendOwn(rdict::RecordType::kPreparing, q, body);
   assert(append.ok());
   (void)append;
-  if (const Duration p = FsyncPenalty(); p > 0) service_queue_.Charge(p);
-  if (record_sink_) record_sink_(rec);
   if (trace_ != nullptr) {
     trace_->Instant(obs::EventKind::kTxnAppend, id_, id, scheduler_->Now());
   }
@@ -657,7 +650,7 @@ bool HeliosNode::CommitWaitSatisfied(const PendingTxn& t,
 }
 
 bool HeliosNode::DegradedSkipAllowed(DcId s, Timestamp deadline) const {
-  if (!ReactionEnabled() || !config_.health.degraded_commit) return false;
+  if (!ReactionEnabled()) return false;
   if (suspected_.count(s) == 0) return false;
   // Safety argument: a skip is licensed only by >= n-f datacenters (this
   // one included, the suspect excluded) that (a) currently suspect s and
@@ -781,6 +774,22 @@ void HeliosNode::FinishTxn(const TxnId& id) {
   pending_.erase(it);
 }
 
+Status HeliosNode::AppendOwn(rdict::RecordType type, Timestamp ts,
+                             TxnBodyPtr body, bool committed,
+                             Timestamp version_ts) {
+  rdict::LogRecord rec;
+  rec.type = type;
+  rec.committed = committed;
+  rec.ts = ts;
+  rec.version_ts = version_ts;
+  rec.origin = id_;
+  rec.body = std::move(body);
+  if (Status append = log_.AppendLocal(rec); !append.ok()) return append;
+  if (const Duration p = FsyncPenalty(); p > 0) service_queue_.Charge(p);
+  if (record_sink_) record_sink_(rec);
+  return Status::Ok();
+}
+
 Timestamp HeliosNode::DependencyBumpedVersionTs(const TxnBody& body) {
   return std::max(clock_->Now(), store_.MaxVersionTsOf(body) + 1);
 }
@@ -833,26 +842,19 @@ void HeliosNode::ProcessFinalizeStaged(const TxnId& id, bool commit,
   staged_holds_.erase(it);
   pt_pool_.Remove(id);
 
-  rdict::LogRecord rec;
-  rec.type = rdict::RecordType::kFinished;
-  rec.committed = commit;
-  rec.origin = id_;
-  rec.body = hold.body;
   if (commit) {
     service_queue_.Charge((config_.service.write_apply + FsyncPenalty()) *
                           static_cast<Duration>(hold.body->write_set.size()));
     store_.ApplyTxn(*hold.body, commit_ts);
-    rec.version_ts = commit_ts;
     ++counters_.staged_commits;
   } else {
     ++counters_.staged_aborts;
   }
-  rec.ts = clock_->NowUnique();
-  const Status append = log_.AppendLocal(rec);
+  const Status append =
+      AppendOwn(rdict::RecordType::kFinished, clock_->NowUnique(), hold.body,
+                commit, commit ? commit_ts : kMinTimestamp);
   assert(append.ok());
   (void)append;
-  if (const Duration p = FsyncPenalty(); p > 0) service_queue_.Charge(p);
-  if (record_sink_) record_sink_(rec);
   // No history recording here: the coordinator records the whole
   // cross-shard transaction once, with the full body, at decision time.
   RecordDecisionTrace(id, commit, commit ? std::string() : "xshard:abort",
@@ -881,18 +883,10 @@ void HeliosNode::CommitPending(const TxnId& id) {
   const Timestamp version_ts = DependencyBumpedVersionTs(*body);
   store_.ApplyTxn(*body, version_ts);
 
-  rdict::LogRecord rec;
-  rec.type = rdict::RecordType::kFinished;
-  rec.committed = true;
-  rec.ts = clock_->NowUnique();
-  rec.version_ts = version_ts;
-  rec.origin = id_;
-  rec.body = body;
-  const Status append = log_.AppendLocal(rec);
+  const Status append = AppendOwn(rdict::RecordType::kFinished,
+                                  clock_->NowUnique(), body, true, version_ts);
   assert(append.ok());
   (void)append;
-  if (const Duration p = FsyncPenalty(); p > 0) service_queue_.Charge(p);
-  if (record_sink_) record_sink_(rec);
 
   ++counters_.commits;
   if (history_ != nullptr) {
@@ -918,17 +912,10 @@ void HeliosNode::AbortPending(const TxnId& id, const std::string& reason,
                       it->second.arrived_sim, it->second.processed_sim);
   FinishTxn(id);
 
-  rdict::LogRecord rec;
-  rec.type = rdict::RecordType::kFinished;
-  rec.committed = false;
-  rec.ts = clock_->NowUnique();
-  rec.origin = id_;
-  rec.body = body;
-  const Status append = log_.AppendLocal(rec);
+  const Status append =
+      AppendOwn(rdict::RecordType::kFinished, clock_->NowUnique(), body);
   assert(append.ok());
   (void)append;
-  if (const Duration p = FsyncPenalty(); p > 0) service_queue_.Charge(p);
-  if (record_sink_) record_sink_(rec);
 
   if (staged) {
     // A pre-prepare slice may still abort unilaterally (the coordinator
@@ -1001,29 +988,17 @@ Status HeliosNode::Restore(const std::vector<rdict::LogRecord>& records,
       if (staged_resolver_) res = staged_resolver_(id);
       if (res.status == StagedStatus::kCommitted) {
         store_.ApplyTxn(*rec.body, res.commit_ts);
-        rdict::LogRecord commit_rec;
-        commit_rec.type = rdict::RecordType::kFinished;
-        commit_rec.committed = true;
-        commit_rec.ts = clock_->NowUnique();
-        commit_rec.version_ts = res.commit_ts;
-        commit_rec.origin = id_;
-        commit_rec.body = rec.body;
-        const Status append = log_.AppendLocal(commit_rec);
+        const Status append =
+            AppendOwn(rdict::RecordType::kFinished, clock_->NowUnique(),
+                      rec.body, true, res.commit_ts);
         if (!append.ok()) return append;
-        if (record_sink_) record_sink_(commit_rec);
         ++counters_.staged_commits;
         ++counters_.staged_resolved;
         continue;
       }
-      rdict::LogRecord abort_rec;
-      abort_rec.type = rdict::RecordType::kFinished;
-      abort_rec.committed = false;
-      abort_rec.ts = clock_->NowUnique();
-      abort_rec.origin = id_;
-      abort_rec.body = rec.body;
-      const Status append = log_.AppendLocal(abort_rec);
+      const Status append = AppendOwn(rdict::RecordType::kFinished,
+                                      clock_->NowUnique(), rec.body);
       if (!append.ok()) return append;
-      if (record_sink_) record_sink_(abort_rec);
       if (res.status != StagedStatus::kNone) {
         ++counters_.staged_aborts;
         ++counters_.staged_resolved;

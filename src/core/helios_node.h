@@ -89,6 +89,32 @@ struct NodeCounters {
   uint64_t total_aborts() const {
     return aborts_on_request + aborts_by_remote + aborts_liveness;
   }
+
+  /// Field-by-field sum: the one place a deployment's totals are formed.
+  NodeCounters& operator+=(const NodeCounters& c) {
+    read_requests += c.read_requests;
+    commit_requests += c.commit_requests;
+    commits += c.commits;
+    aborts_on_request += c.aborts_on_request;
+    aborts_by_remote += c.aborts_by_remote;
+    aborts_liveness += c.aborts_liveness;
+    records_ingested += c.records_ingested;
+    envelopes_sent += c.envelopes_sent;
+    refusals_issued += c.refusals_issued;
+    read_only_txns += c.read_only_txns;
+    suspicions += c.suspicions;
+    readmissions += c.readmissions;
+    suspicion_refusals += c.suspicion_refusals;
+    degraded_commits += c.degraded_commits;
+    hedged_pulls += c.hedged_pulls;
+    staged_requests += c.staged_requests;
+    staged_waits += c.staged_waits;
+    staged_prepared += c.staged_prepared;
+    staged_commits += c.staged_commits;
+    staged_aborts += c.staged_aborts;
+    staged_resolved += c.staged_resolved;
+    return *this;
+  }
 };
 
 /// What a recovery accomplished: WAL replay volume, the anti-entropy
@@ -478,6 +504,14 @@ class HeliosNode {
                     uint64_t NodeCounters::* counter);
   void CommitPending(const TxnId& id);
   void FinishTxn(const TxnId& id);  // Shared pending-bookkeeping removal.
+
+  /// Appends one of this node's own records, stamped `ts`, to the log,
+  /// charges an active fsync stall's per-record penalty and hands the
+  /// record to the durability sink. `version_ts` is for committed finished
+  /// records. A failed append is returned before any charge or sink call.
+  Status AppendOwn(rdict::RecordType type, Timestamp ts, TxnBodyPtr body,
+                   bool committed = false,
+                   Timestamp version_ts = kMinTimestamp);
 
   /// Version timestamp for a commit: local clock, dependency-bumped above
   /// every version the transaction read or overwrites (see MvStore docs).

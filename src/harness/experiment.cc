@@ -333,40 +333,23 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
         cap->sessions.push_back(*client->session_log());
       }
     }
-    cap->wals.resize(static_cast<size_t>(n));
-    cap->wal_present.assign(static_cast<size_t>(n), false);
+    cap->journals.resize(static_cast<size_t>(n));
     cap->stores.resize(static_cast<size_t>(n));
     cap->dc_down.assign(static_cast<size_t>(n), false);
     for (DcId dc = 0; dc < n; ++dc) {
       const size_t i = static_cast<size_t>(dc);
-      if (const wal::MemoryWal* w = cluster->wal_journal(dc)) {
-        cap->wals[i] = w->contents();
-        cap->wal_present[i] = true;
+      for (const wal::MemoryWal* w : cluster->wal_journals(dc)) {
+        cap->journals[i].push_back(w->contents());
       }
       cluster->SnapshotStore(dc, [&](const Key& key, const VersionedValue& v) {
         cap->stores[i][key] = v;
       });
       cap->dc_down[i] = cluster->datacenter_down(dc);
-    }
-    cap->recovery = cluster->recovery_snapshot();
-    if (sharded != nullptr) {
-      const int shards = config.shards;
-      cap->shards = shards;
-      cap->shard_wals.resize(static_cast<size_t>(n * shards));
-      cap->shard_wal_present.assign(static_cast<size_t>(n * shards), false);
-      cap->txn_status.resize(static_cast<size_t>(n));
-      for (DcId dc = 0; dc < n; ++dc) {
-        for (int s = 0; s < shards; ++s) {
-          const size_t i = static_cast<size_t>(dc * shards + s);
-          if (const wal::MemoryWal* w = sharded->shard_wal_journal(dc, s)) {
-            cap->shard_wals[i] = w->contents();
-            cap->shard_wal_present[i] = true;
-          }
-        }
-        cap->txn_status[static_cast<size_t>(dc)] =
-            sharded->txn_status(dc).entries();
+      if (sharded != nullptr) {
+        cap->txn_status.push_back(sharded->txn_status(dc).entries());
       }
     }
+    cap->recovery = cluster->recovery_snapshot();
     result.capture = std::move(cap);
   }
 
@@ -375,7 +358,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     cluster->ExportMetrics(reg);
     reg->counter("net.messages_sent").Set(network.messages_sent());
     reg->counter("net.messages_dropped").Set(network.messages_dropped());
-    reg->counter("net.bytes_sent").Set(network.bytes_sent());
     reg->counter("sim.events_processed").Set(scheduler.events_processed());
     if (has_message_faults) {
       reg->counter("net.fault_drops").Set(network.fault_drops());

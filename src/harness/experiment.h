@@ -153,23 +153,18 @@ struct ExperimentConfig {
 struct RunCapture {
   std::vector<core::CommittedTxn> history;     ///< Committed transactions.
   std::vector<workload::SessionLog> sessions;  ///< One per client.
-  std::vector<wal::WalContents> wals;          ///< Durable journals.
-  std::vector<bool> wal_present;               ///< wal_journal() != null.
+  /// Durable journals, journals[dc][shard]: one per shard of the
+  /// deployment (one for an unsharded one), none when the protocol keeps
+  /// no WAL. A shard's journal carries only its slice of the traffic; the
+  /// oracles check each journal on its own and merge a datacenter's
+  /// journals for store replay (shard key sets are disjoint).
+  std::vector<std::vector<wal::WalContents>> journals;
   /// Latest version of every key in each replica's live store.
   std::vector<std::map<Key, VersionedValue>> stores;
   std::vector<bool> dc_down;  ///< Crashed at end of run.
   RecoveryStats recovery;
-
-  // Sharded deployments (src/shard). With shards == 1 everything below
-  // stays empty and the oracles read the flat per-DC fields above.
-  int shards = 1;
-  /// Per-(datacenter, shard) journals, indexed dc * shards + s. A shard's
-  /// journal carries only its slice of the traffic; the oracles check
-  /// each (dc, shard) journal independently and merge a datacenter's
-  /// journals for store replay (shard key sets are disjoint).
-  std::vector<wal::WalContents> shard_wals;
-  std::vector<bool> shard_wal_present;
-  /// Per-datacenter durable coordinator status tables (the parallel-commit
+  /// Sharded deployments (src/shard) only, else empty: per-datacenter
+  /// durable coordinator status tables (the parallel-commit
   /// STAGED/COMMITTED/ABORTED records), for the staged-resolution oracle.
   std::vector<std::map<TxnId, shard::TxnStatusRecord>> txn_status;
 };

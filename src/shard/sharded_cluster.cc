@@ -362,47 +362,26 @@ RecoveryStats ShardedCluster::recovery_snapshot() const {
   return total;
 }
 
+std::vector<const wal::MemoryWal*> ShardedCluster::wal_journals(
+    DcId dc) const {
+  std::vector<const wal::MemoryWal*> out;
+  out.reserve(shards_.size());
+  for (const auto& sc : shards_) out.push_back(&sc->wal(dc));
+  return out;
+}
+
 core::NodeCounters ShardedCluster::AggregateCounters() const {
   core::NodeCounters total;
-  for (const auto& sc : shards_) {
-    const core::NodeCounters c = sc->AggregateCounters();
-    total.read_requests += c.read_requests;
-    total.commit_requests += c.commit_requests;
-    total.commits += c.commits;
-    total.aborts_on_request += c.aborts_on_request;
-    total.aborts_by_remote += c.aborts_by_remote;
-    total.aborts_liveness += c.aborts_liveness;
-    total.records_ingested += c.records_ingested;
-    total.envelopes_sent += c.envelopes_sent;
-    total.refusals_issued += c.refusals_issued;
-    total.read_only_txns += c.read_only_txns;
-    total.suspicions += c.suspicions;
-    total.readmissions += c.readmissions;
-    total.suspicion_refusals += c.suspicion_refusals;
-    total.degraded_commits += c.degraded_commits;
-    total.hedged_pulls += c.hedged_pulls;
-    total.staged_requests += c.staged_requests;
-    total.staged_waits += c.staged_waits;
-    total.staged_prepared += c.staged_prepared;
-    total.staged_commits += c.staged_commits;
-    total.staged_aborts += c.staged_aborts;
-    total.staged_resolved += c.staged_resolved;
-  }
+  for (const auto& sc : shards_) total += sc->AggregateCounters();
   return total;
 }
 
 void ShardedCluster::ExportMetrics(obs::MetricsRegistry* registry) const {
+  std::vector<const core::HeliosCluster*> shards;
+  shards.reserve(shards_.size());
+  for (const auto& sc : shards_) shards.push_back(sc.get());
+  core::ExportNodeMetrics(shards, registry);
   const core::NodeCounters total = AggregateCounters();
-  registry->counter("node.read_requests").Set(total.read_requests);
-  registry->counter("node.commit_requests").Set(total.commit_requests);
-  registry->counter("node.commits").Set(total.commits);
-  registry->counter("node.aborts_on_request").Set(total.aborts_on_request);
-  registry->counter("node.aborts_by_remote").Set(total.aborts_by_remote);
-  registry->counter("node.aborts_liveness").Set(total.aborts_liveness);
-  registry->counter("node.records_ingested").Set(total.records_ingested);
-  registry->counter("node.envelopes_sent").Set(total.envelopes_sent);
-  registry->counter("node.refusals_issued").Set(total.refusals_issued);
-  registry->counter("node.read_only_txns").Set(total.read_only_txns);
   // Client-facing totals: fast-path commits decided by shard nodes plus
   // cross-shard transactions decided by the coordinator.
   registry->counter("protocol.commits").Set(total.commits + xstats_.committed);
@@ -422,18 +401,12 @@ void ShardedCluster::ExportMetrics(obs::MetricsRegistry* registry) const {
   registry->counter("xshard.slices_resolved").Set(total.staged_resolved);
   ExportRecoveryMetrics(registry);
   for (DcId dc = 0; dc < config_.num_datacenters; ++dc) {
-    const std::string prefix = "node.dc" + std::to_string(dc);
-    double pt = 0.0, ept = 0.0, busy = 0.0, held = 0.0;
+    double held = 0.0;
     for (const auto& sc : shards_) {
-      pt += static_cast<double>(sc->node(dc).pt_pool_size());
-      ept += static_cast<double>(sc->node(dc).ept_pool_size());
-      busy += static_cast<double>(sc->node(dc).service_queue().total_busy());
       held += static_cast<double>(sc->node(dc).staged_hold_count());
     }
-    registry->gauge(prefix + ".pt_pool").Set(pt);
-    registry->gauge(prefix + ".ept_pool").Set(ept);
-    registry->gauge(prefix + ".service_busy_us").Set(busy);
-    registry->gauge(prefix + ".staged_holds").Set(held);
+    registry->gauge("node.dc" + std::to_string(dc) + ".staged_holds")
+        .Set(held);
   }
   // Per-shard commit volume, so load imbalance across the partition is
   // visible in reports.
@@ -444,30 +417,6 @@ void ShardedCluster::ExportMetrics(obs::MetricsRegistry* registry) const {
     registry->counter(prefix + ".commits").Set(c.commits);
     registry->counter(prefix + ".staged_commits").Set(c.staged_commits);
     registry->counter(prefix + ".records_ingested").Set(c.records_ingested);
-  }
-  if (config_.health.enabled) {
-    registry->counter("health.suspicions").Set(total.suspicions);
-    registry->counter("health.readmissions").Set(total.readmissions);
-    registry->counter("health.suspicion_refusals")
-        .Set(total.suspicion_refusals);
-    registry->counter("health.degraded_commits").Set(total.degraded_commits);
-    registry->counter("health.hedged_pulls").Set(total.hedged_pulls);
-    for (DcId dc = 0; dc < config_.num_datacenters; ++dc) {
-      const std::string prefix = "health.dc" + std::to_string(dc);
-      double suspected = 0.0;
-      for (DcId peer = 0; peer < config_.num_datacenters; ++peer) {
-        if (peer == dc) continue;
-        double phi = 0.0;
-        bool suspects = false;
-        for (const auto& sc : shards_) {
-          phi = std::max(phi, sc->node(dc).HealthPhi(peer));
-          suspects = suspects || sc->node(dc).Suspects(peer);
-        }
-        registry->gauge(prefix + ".phi.dc" + std::to_string(peer)).Set(phi);
-        if (suspects) suspected += 1.0;
-      }
-      registry->gauge(prefix + ".suspected").Set(suspected);
-    }
   }
 }
 

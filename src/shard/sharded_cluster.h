@@ -107,17 +107,8 @@ class ShardedCluster : public ProtocolCluster {
   void InjectFsyncStall(DcId dc, Duration per_record,
                         Duration window) override;
 
-  // Checker observation points. The flat per-DC journal surface is
-  // intentionally absent (null): a shard's journal holds only its slice
-  // of the traffic, and handing any single one to the legacy oracles
-  // would read as lost transactions. Shard-aware captures use
-  // shard_wal_journal() instead.
-  const wal::MemoryWal* wal_journal(DcId /*dc*/) const override {
-    return nullptr;
-  }
-  const wal::MemoryWal* shard_wal_journal(DcId dc, int s) const {
-    return shards_[static_cast<size_t>(s)]->wal_journal(dc);
-  }
+  // Checker observation points.
+  std::vector<const wal::MemoryWal*> wal_journals(DcId dc) const override;
   void SnapshotStore(
       DcId dc, const std::function<void(const Key&, const VersionedValue&)>&
                    fn) const override {
@@ -134,7 +125,6 @@ class ShardedCluster : public ProtocolCluster {
   /// See HeliosCluster::set_envelope_sizer; applied to every shard.
   void set_envelope_sizer(core::HeliosCluster::EnvelopeSizer sizer);
 
-  const ShardMap& shard_map() const { return map_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
   core::HeliosCluster& shard(int s) { return *shards_[static_cast<size_t>(s)]; }
   const core::HeliosCluster& shard(int s) const {
@@ -144,7 +134,6 @@ class ShardedCluster : public ProtocolCluster {
     return status_[static_cast<size_t>(dc)];
   }
   core::HistoryRecorder& history() { return history_; }
-  const CrossShardCounters& cross_shard_counters() const { return xstats_; }
   const core::HeliosConfig& config() const { return config_; }
 
   /// Sum of the node counters across all shards and datacenters.

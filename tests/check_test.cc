@@ -126,8 +126,7 @@ hns::ExperimentResult BaseResult() {
   r.serializability = Status::Ok();
   r.capture = std::make_shared<hns::RunCapture>();
   hns::RunCapture& cap = *r.capture;
-  cap.wals.resize(kDcs);
-  cap.wal_present.assign(kDcs, true);
+  cap.journals.resize(kDcs, std::vector<wal::WalContents>(1));
   cap.stores.resize(kDcs);
   cap.dc_down.assign(kDcs, false);
   r.per_dc.resize(kDcs);
@@ -157,7 +156,7 @@ void CommitEverywhere(hns::RunCapture* cap, TxnBodyPtr body,
                       Timestamp version_ts) {
   cap->history.push_back({body->id, body->id.origin, version_ts, body});
   for (int dc = 0; dc < kDcs; ++dc) {
-    cap->wals[static_cast<size_t>(dc)].records.push_back(
+    cap->journals[static_cast<size_t>(dc)][0].records.push_back(
         Finished(body, version_ts));
     for (const WriteEntry& w : body->write_set) {
       cap->stores[static_cast<size_t>(dc)][w.key] =
@@ -273,7 +272,7 @@ TEST(Oracles, ExactlyOnceCatchesDuplicateJournalRecord) {
   auto body = Body({0, 1}, {}, {{"k", "v"}});
   CommitEverywhere(result.capture.get(), body, 100);
   // The same decision journaled twice at datacenter 2.
-  result.capture->wals[2].records.push_back(Finished(body, 100));
+  result.capture->journals[2][0].records.push_back(Finished(body, 100));
   const OracleReport report = RunOracles(BaseSpec(), result);
   EXPECT_EQ(FailureOf(report), "exactly_once");
   EXPECT_NE(report.status().ToString().find("two committed records"),
@@ -285,7 +284,7 @@ TEST(Oracles, ExactlyOnceCatchesVersionDisagreement) {
   auto body = Body({0, 1}, {}, {{"k", "v"}});
   CommitEverywhere(result.capture.get(), body, 100);
   // Datacenter 2 installed the writes under a different version.
-  result.capture->wals[2].records.back().version_ts = 101;
+  result.capture->journals[2][0].records.back().version_ts = 101;
   const OracleReport report = RunOracles(BaseSpec(), result);
   EXPECT_EQ(FailureOf(report), "exactly_once");
   EXPECT_NE(report.status().ToString().find("divergence"), std::string::npos);
@@ -391,6 +390,111 @@ TEST(Oracles, MetricsCatchFaultCounterGatingMismatch) {
   auto result = BaseResult();
   result.metrics.counters.push_back({"net.fault_drops", 3});
   EXPECT_EQ(FailureOf(RunOracles(spec, result)), "metrics");
+}
+
+// --- oracles over sharded captures ------------------------------------------
+
+constexpr int kShards = 2;
+
+/// BaseResult() reshaped as a two-shard deployment: every datacenter keeps
+/// one journal per shard and a (so far empty) coordinator status table.
+hns::ExperimentResult ShardedResult() {
+  hns::ExperimentResult r = BaseResult();
+  for (auto& journals : r.capture->journals) journals.resize(kShards);
+  r.capture->txn_status.resize(kDcs);
+  return r;
+}
+
+wal::WalContents& ShardJournal(hns::ExperimentResult* r, int dc, int s) {
+  return r->capture->journals[static_cast<size_t>(dc)]
+                             [static_cast<size_t>(s)];
+}
+
+rdict::LogRecord Aborted(TxnBodyPtr body, Timestamp ts) {
+  rdict::LogRecord r = Finished(std::move(body), ts);
+  r.committed = false;
+  r.version_ts = kMinTimestamp;
+  return r;
+}
+
+/// A cross-shard transaction (coordinator id: residue 0 mod shards + 1)
+/// committed at datacenter 0 and observed by a client: each shard journals
+/// its own slice under the same id, at the given version timestamps.
+void CommitAcrossShards(hns::ExperimentResult* r, Timestamp ts0,
+                        Timestamp ts1) {
+  hns::RunCapture& cap = *r->capture;
+  const TxnId id{0, 3};
+  cap.history.push_back({id, 0, ts0, Body(id, {}, {{"a", "1"}, {"b", "2"}})});
+  cap.txn_status[0][id] = {shard::TxnStatus::kCommitted, ts0, {0, 1}};
+  ShardJournal(r, 0, 0).records.push_back(
+      Finished(Body(id, {}, {{"a", "1"}}), ts0));
+  ShardJournal(r, 0, 1).records.push_back(
+      Finished(Body(id, {}, {{"b", "2"}}), ts1));
+  cap.stores[0]["a"] = VersionedValue{"1", ts0, id};
+  cap.stores[0]["b"] = VersionedValue{"2", ts1, id};
+  workload::SessionLog session;
+  workload::SessionEvent commit;
+  commit.kind = workload::SessionEvent::Kind::kCommit;
+  commit.txn = id;
+  commit.committed = true;
+  session.events.push_back(commit);
+  cap.sessions.push_back(session);
+}
+
+TEST(ShardedOracles, ShardAtomicityCatchesSplitDecision) {
+  auto result = ShardedResult();
+  auto body = Body({0, 3}, {}, {});
+  ShardJournal(&result, 0, 0).records.push_back(Finished(body, 100));
+  ShardJournal(&result, 0, 1).records.push_back(Aborted(body, 101));
+  const OracleReport report = RunOracles(BaseSpec(), result);
+  EXPECT_EQ(FailureOf(report), "shard_atomicity");
+  EXPECT_NE(report.status().ToString().find(
+                "aborted on shard 1 but committed on shard 0 at datacenter 0"),
+            std::string::npos)
+      << report.Summary();
+}
+
+TEST(ShardedOracles, StagedResolutionCatchesAbortedSliceOfCommittedTxn) {
+  auto result = ShardedResult();
+  const TxnId id{0, 3};
+  result.capture->txn_status[0][id] = {shard::TxnStatus::kCommitted, 100,
+                                       {0, 1}};
+  // A replica of shard 1 at another datacenter finalized it aborted.
+  ShardJournal(&result, 1, 1).records.push_back(Aborted(Body(id, {}, {}), 101));
+  const OracleReport report = RunOracles(BaseSpec(), result);
+  EXPECT_EQ(FailureOf(report), "staged_resolution");
+  EXPECT_NE(report.status().ToString().find("is COMMITTED"), std::string::npos)
+      << report.Summary();
+}
+
+TEST(ShardedOracles, StagedResolutionCatchesCommittedSliceOfStagedTxn) {
+  auto result = ShardedResult();
+  const TxnId id{0, 3};
+  result.capture->txn_status[0][id] = {shard::TxnStatus::kStaged,
+                                       kMinTimestamp, {0, 1}};
+  ShardJournal(&result, 0, 0).records.push_back(
+      Finished(Body(id, {}, {}), 100));
+  const OracleReport report = RunOracles(BaseSpec(), result);
+  EXPECT_EQ(FailureOf(report), "staged_resolution");
+  EXPECT_NE(report.status().ToString().find("never left STAGED"),
+            std::string::npos)
+      << report.Summary();
+}
+
+TEST(ShardedOracles, ExactlyOnceAcceptsOneCommittedSlicePerShardJournal) {
+  auto result = ShardedResult();
+  CommitAcrossShards(&result, 100, 100);
+  const OracleReport report = RunOracles(BaseSpec(), result);
+  EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
+TEST(ShardedOracles, ExactlyOnceCatchesSliceVersionDisagreement) {
+  auto result = ShardedResult();
+  CommitAcrossShards(&result, 100, 101);
+  const OracleReport report = RunOracles(BaseSpec(), result);
+  EXPECT_EQ(FailureOf(report), "exactly_once");
+  EXPECT_NE(report.status().ToString().find("divergence"), std::string::npos)
+      << report.Summary();
 }
 
 // --- shrinker ---------------------------------------------------------------

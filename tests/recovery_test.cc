@@ -392,7 +392,7 @@ TEST(BaselineCoreTest, CrashKeepsOnlyTheJournal) {
     ScheduleScriptedTraffic(&rig, commits);
 
     // Traffic has quiesced by 6 s; every replica applied every decision.
-    const auto& journal = Core(rig).wal_journal(2)->contents().records;
+    const auto& journal = Core(rig).wal_journals(2)[0]->contents().records;
     size_t keys_while_down = 0;
     rig.scheduler->At(Seconds(6), [&] {
       rig.crash(2);

@@ -220,10 +220,12 @@ TEST(CrossShardCommit, HappyPathCommitsAndPassesEveryOracle) {
   ASSERT_NE(staged, nullptr);
   EXPECT_GE(staged->value, committed->value);
 
-  // Sharded captures route durability through per-shard journals.
+  // Sharded captures keep one journal per shard at every datacenter.
   ASSERT_NE(result.capture, nullptr);
-  EXPECT_EQ(result.capture->shards, 2);
-  EXPECT_EQ(result.capture->shard_wals.size(), 3u * 2u);
+  ASSERT_EQ(result.capture->journals.size(), 3u);
+  for (const auto& journals : result.capture->journals) {
+    EXPECT_EQ(journals.size(), 2u);
+  }
 }
 
 TEST(CrossShardCommit, RangeShardingPassesEveryOracle) {
